@@ -8,8 +8,15 @@ the minutes range while still exercising the real experiment code.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+# The perf gates time the seed implementations in tests/_seed_anchors.py,
+# the same copy the parity suites in tests/ compare against.
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
 
 from repro.experiments.datasets import BENCH_SCALE, build_experiment_data
 from repro.synth.dataset import CorpusSpec, build_corpus

@@ -26,6 +26,8 @@ import pytest
 from repro.timeseries.bitmap import windowed_code_counts
 from repro.timeseries.paa import paa
 
+from _seed_anchors import seed_paa, seed_window_counts
+
 pytestmark = pytest.mark.skipif(
     os.environ.get("PERF_GATE") != "1",
     reason="perf gate only runs with PERF_GATE=1 (tier-2 CI job)",
@@ -45,46 +47,6 @@ def best_of(fn, repeats: int = 7, iters: int = 20) -> float:
             fn()
         best = min(best, (time.perf_counter() - start) / iters)
     return best
-
-
-# -- seed implementations (parity anchors, timed as the baseline) -----------
-
-
-def seed_window_counts(codes, ends, lead_starts, lag_starts, n_codes):
-    """The per-code ``searchsorted`` scan the chunked scorer used to run."""
-    buffer = np.asarray(codes, dtype=np.int64)
-    lead_counts = np.zeros((len(ends), n_codes))
-    lag_counts = np.zeros((len(ends), n_codes))
-    for code in range(n_codes):
-        positions = np.flatnonzero(buffer == code)
-        if positions.size == 0:
-            continue
-        at_end = np.searchsorted(positions, ends)
-        at_lead = np.searchsorted(positions, lead_starts)
-        at_lag = np.searchsorted(positions, lag_starts)
-        lead_counts[:, code] = at_end - at_lead
-        lag_counts[:, code] = at_lead - at_lag
-    return lead_counts, lag_counts
-
-
-def seed_paa(values, segments):
-    """The fractional double loop ``paa`` used to run."""
-    arr = np.asarray(values, dtype=float)
-    n = arr.size
-    output = np.zeros(segments, dtype=float)
-    seg_len = n / segments
-    for seg in range(segments):
-        start = seg * seg_len
-        end = (seg + 1) * seg_len
-        first = int(np.floor(start))
-        last = int(np.ceil(end))
-        total = 0.0
-        for j in range(first, min(last, n)):
-            overlap = min(end, j + 1) - max(start, j)
-            if overlap > 0:
-                total += arr[j] * overlap
-        output[seg] = total / seg_len
-    return output
 
 
 def test_scorer_kernel_speedup_holds():

@@ -4,10 +4,10 @@ Asserts that the buffer-protocol record framing keeps its measured
 advantage over the copy-chain seed path it replaced — a same-box relative
 comparison, so the gate is robust to how fast the machine itself is.  The
 seed implementations (``tobytes`` + concatenation on send; ``del
-buffer[:end]`` + double-copy decode on receive) are embedded verbatim below
-as both the timing baseline and the byte-identity anchor.  Thresholds (and
-the numbers recorded when the wire path landed) live in
-``benchmarks/bench-results.json``.
+buffer[:end]`` + double-copy decode on receive) live verbatim in
+``tests/_seed_anchors.py`` as both the timing baseline and the
+byte-identity anchor.  Thresholds (and the numbers recorded when the wire
+path landed) live in ``benchmarks/bench-results.json``.
 
 Two workload mixes are measured, matching what a pumped river scope
 carries:
@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 import os
 import socket
-import struct
 import time
 from pathlib import Path
 
@@ -44,7 +43,6 @@ import pytest
 from repro.river import (
     Record,
     RecordFrameDecoder,
-    RecordType,
     close_scope,
     data_record,
     fragment_record,
@@ -52,6 +50,8 @@ from repro.river import (
     open_scope,
 )
 from repro.river.transport import SocketChannel, transport_available
+
+from _seed_anchors import SeedRecordFrameDecoder, seed_frame_record
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("PERF_GATE") != "1",
@@ -72,91 +72,6 @@ def best_of(fn, repeats: int = 5, iters: int = 10) -> float:
             fn()
         best = min(best, (time.perf_counter() - start) / iters)
     return best
-
-
-# -- seed implementations (parity anchors, timed as the baseline) -----------
-
-_SEED_PREFIX = struct.Struct("<4sBI")
-_SEED_FRAME_PREFIX = struct.Struct("<I")
-_SEED_MAGIC = b"DRIV"
-_SEED_VERSION = 1
-
-
-def seed_pack_record(record: Record) -> bytes:
-    """The pre-views ``pack_record``: ``tobytes`` plus two concatenations."""
-    header: dict = {
-        "record_type": record.record_type.value,
-        "subtype": record.subtype,
-        "scope": record.scope,
-        "scope_type": record.scope_type,
-        "sequence": record.sequence,
-        "context": record.context,
-    }
-    if record.payload is not None:
-        payload = np.ascontiguousarray(record.payload)
-        header["dtype"] = payload.dtype.str
-        header["shape"] = list(payload.shape)
-        body = payload.tobytes()
-    else:
-        body = b""
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    return _SEED_PREFIX.pack(_SEED_MAGIC, _SEED_VERSION, len(header_bytes)) + header_bytes + body
-
-
-def seed_frame_record(record: Record) -> bytes:
-    blob = seed_pack_record(record)
-    return _SEED_FRAME_PREFIX.pack(len(blob)) + blob
-
-
-def seed_unpack_record(blob: bytes) -> tuple[Record, int]:
-    """The pre-views ``unpack_record``: slice-copy then ``frombuffer().copy()``."""
-    magic, version, header_len = _SEED_PREFIX.unpack_from(blob, 0)
-    header_start = _SEED_PREFIX.size
-    header_end = header_start + header_len
-    header = json.loads(blob[header_start:header_end].decode("utf-8"))
-    payload = None
-    consumed = header_end
-    if "dtype" in header:
-        dtype = np.dtype(header["dtype"])
-        shape = tuple(header["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        body_len = count * dtype.itemsize
-        payload = (
-            np.frombuffer(blob[header_end : header_end + body_len], dtype=dtype)
-            .reshape(shape)
-            .copy()
-        )
-        consumed = header_end + body_len
-    record = Record(
-        record_type=RecordType(header["record_type"]),
-        subtype=header.get("subtype", "generic"),
-        scope=int(header.get("scope", 0)),
-        scope_type=header.get("scope_type", "scope_generic"),
-        sequence=int(header.get("sequence", 0)),
-        payload=payload,
-        context=header.get("context", {}),
-    )
-    return record, consumed
-
-
-class SeedRecordFrameDecoder:
-    """The pre-views decoder: ``extend`` / ``bytes()`` slice / per-frame del."""
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-
-    def feed(self, data: bytes) -> list[Record]:
-        self._buffer.extend(data)
-        records: list[Record] = []
-        while len(self._buffer) >= _SEED_FRAME_PREFIX.size:
-            (length,) = _SEED_FRAME_PREFIX.unpack_from(self._buffer, 0)
-            end = _SEED_FRAME_PREFIX.size + length
-            if len(self._buffer) < end:
-                break
-            record, _ = seed_unpack_record(bytes(self._buffer[_SEED_FRAME_PREFIX.size : end]))
-            del self._buffer[:end]
-            records.append(record)
-        return records
 
 
 # -- workloads ---------------------------------------------------------------

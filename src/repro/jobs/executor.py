@@ -1,9 +1,10 @@
 """The ledgered corpus runner: resumable, retrying, quarantine-on-poison.
 
 :func:`run_corpus` drives a :class:`~repro.jobs.ledger.Ledger` through a
-corpus with the same backends as the plain
-:class:`~repro.pipeline.executor.CorpusExecutor` (serial / thread /
-process), but with per-item durability instead of first-failure abort:
+corpus through the same :class:`~repro.pipeline.executor.Dispatcher` loop
+(serial / thread / process) as the plain
+:class:`~repro.pipeline.executor.CorpusExecutor`, but with per-item
+durability instead of first-failure abort:
 
 * every claimable row is marked ``busy`` *before* dispatch and ``done``
   only after its result has been collected **and** persisted to the
@@ -32,19 +33,17 @@ a partial recording whose re-append would duplicate rows.
 from __future__ import annotations
 
 import os
-import pickle
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 from ..pipeline.builder import PipelineBuildError
 from ..pipeline.executor import (
-    BACKENDS,
     CorpusExecutionError,
     CorpusExecutor,
-    _worker_init,
-    _worker_run,
+    Dispatcher,
+    close_store,
+    corpus_failure,
     describe_source,
+    persist_result,
 )
 from .ledger import DONE, Ledger, LedgerConfig, LedgerError
 
@@ -129,22 +128,11 @@ def run_corpus(
     # its poison item instead of wedging forever).
     book.recover_busy()
 
-    writer = None
-    owned_writer = False
+    writer, owned_writer = open_runner_store(store)
     aborted = False
     features = executor._has_stage("features")
     try:
-        if store is None:
-            # No store, no result durability: done rows from a previous
-            # process hold results only that process ever saw.  Reopen them
-            # so this run reproduces every result it returns.
-            for row in book.rows:
-                if row.state == DONE:
-                    book.reopen(row.index)
-        else:
-            writer, owned_writer = _open_runner_store(store)
-            _reconcile_with_store(book, writer.path, results)
-
+        _reconcile_with_store(book, writer, results)
         _drain(executor, book, items, sample_rate, writer, features, results, worker_id)
     except CorpusExecutionError:
         # A persist failure aborted the run (see _settle): the writer's
@@ -155,30 +143,39 @@ def run_corpus(
         aborted = True
         raise
     finally:
-        if writer is not None and not aborted:
-            if owned_writer:
-                writer.close()
-            else:
-                writer.flush()
+        if not aborted:
+            close_store(writer, owned_writer)
     return results
 
 
 # -- store recovery ------------------------------------------------------------
 
 
-def _open_runner_store(store):
-    """Open the run's store writer with auto-flush disabled (see module
-    docstring); a live writer passed in is used as-is."""
+def open_runner_store(store):
+    """``(writer, owned)`` for a run's ``store=`` (``(None, False)`` without
+    one), opened with auto-flush disabled (see module docstring); a live
+    writer passed in is used as-is."""
     from ..store.writer import StoreWriter
 
-    if isinstance(store, StoreWriter):
+    if store is None or isinstance(store, StoreWriter):
         return store, False
     return StoreWriter(store, flush_values=_NO_AUTO_FLUSH), True
 
 
-def _reconcile_with_store(book: Ledger, store_path, results: list) -> None:
+def persist_item(writer, recording: str, item, result, features: bool) -> None:
+    """Write one item's result and cut its shard, so whoever reports the
+    item done afterwards reports something durable."""
+    persist_result(writer, recording, item, result, features)
+    writer.flush()
+
+
+def _reconcile_with_store(book: Ledger, writer, results: list) -> None:
     """Square the ledger with what the store actually holds.
 
+    * without a store, or with a brand-new one, nothing is persisted: a
+      ``done`` row holds a result only a previous process ever saw (or the
+      caller pointed the ledger at the wrong store) — reopen it, so this
+      run reproduces every result it returns;
     * a non-terminal row whose recording is *complete* in the store was
       persisted by a run that died before recording the completion —
       adopt it as done;
@@ -195,14 +192,12 @@ def _reconcile_with_store(book: Ledger, store_path, results: list) -> None:
     from ..store.reader import StoreReader
     from ..store.schema import MANIFEST_NAME
 
-    if not (store_path / MANIFEST_NAME).exists():
-        # Brand-new store: nothing persisted yet, so any `done` row is a
-        # lie (or the caller pointed the ledger at the wrong store).
+    if writer is None or not (writer.path / MANIFEST_NAME).exists():
         for row in book.rows:
             if row.state == DONE:
                 book.reopen(row.index)
         return
-    reader = StoreReader(store_path)
+    reader = StoreReader(writer.path)
     incomplete = set(reader.incomplete()["recordings"])
     present = set(reader.recordings())
     complete = present - incomplete
@@ -238,17 +233,12 @@ def _drain(
     worker_id: str,
 ) -> None:
     """Claim-and-run rounds until every row is terminal."""
-    run_round = {
-        "serial": _round_serial,
-        "thread": _round_thread,
-        "process": _round_process,
-    }[executor.backend]
     # Bound each claim to the backend's real in-flight window: `busy` rows
     # are exactly the items a crash right now would charge an attempt to
     # (recover_busy), so claiming the whole corpus up front would let one
     # crash tax every row.  Serial dispatches one item at a time.
     window = 1 if executor.backend == "serial" else executor.workers
-    with _backend_pool(executor, items) as pool:
+    with Dispatcher(executor, sample_rate, len(items)) as dispatch:
         while True:
             batch = book.claim_batch(worker_id, limit=window)
             if not batch:
@@ -259,125 +249,30 @@ def _drain(
                     return
                 time.sleep(min(max(deadline - time.time(), 0.0), 1.0) + 0.005)
                 continue
-            run_round(
-                executor, pool, book, batch, items, sample_rate, writer, features,
-                results, worker_id,
-            )
+            # Outcomes arrive in claim (= corpus) order, so persists land
+            # deterministically, exactly like the unledgered run.
+            claimed = ((row.index, items[row.index]) for row in batch)
+            for index, result, error in dispatch.outcomes(claimed):
+                if error is not None:
+                    book.mark_failed(index, error.message, worker=worker_id)
+                    continue
+                _settle(
+                    book, book.row(index), items[index], result, writer, features,
+                    results, worker_id,
+                )
 
 
-class _backend_pool:
-    """Create (lazily) and tear down the round-spanning worker pool."""
-
-    def __init__(self, executor: CorpusExecutor, items: list) -> None:
-        self.executor = executor
-        self.items = items
-        self.pool = None
-
-    def __enter__(self):
-        if self.executor.backend == "thread":
-            self.pool = ThreadPoolExecutor(max_workers=self.executor.workers)
-        elif self.executor.backend == "process":
-            try:
-                payload = pickle.dumps(self.executor.builder)
-            except Exception as exc:
-                raise CorpusExecutionError(
-                    "the process backend pickles the pipeline spec to the "
-                    f"workers, but this spec is not picklable: {exc}"
-                ) from exc
-            self.pool = ProcessPoolExecutor(
-                max_workers=min(self.executor.workers, max(len(self.items), 1)),
-                initializer=_worker_init,
-                initargs=(payload,),
-            )
-        return self.pool
-
-    def __exit__(self, *exc_info) -> None:
-        if self.pool is not None:
-            self.pool.shutdown(wait=True, cancel_futures=True)
-
-
-def _round_serial(
-    executor, pool, book, batch, items, sample_rate, writer, features, results, worker_id
-) -> None:
-    pipeline = executor._pipeline or executor.builder.build()
-    executor._pipeline = pipeline  # reuse across rounds
-    for row in batch:
-        item = items[row.index]
-        try:
-            result = pipeline.run(item, sample_rate=sample_rate)
-        except Exception as exc:
-            book.mark_failed(
-                row.index, f"{type(exc).__name__}: {exc}", worker=worker_id
-            )
-            continue
-        _settle(executor, book, row, item, result, writer, features, results, worker_id)
-
-
-def _round_thread(
-    executor, pool, book, batch, items, sample_rate, writer, features, results, worker_id
-) -> None:
-    local = threading.local()
-
-    def task(item):
-        pipeline = getattr(local, "pipeline", None)
-        if pipeline is None:
-            pipeline = executor.builder.build()
-            local.pipeline = pipeline
-        return pipeline.run(item, sample_rate=sample_rate)
-
-    futures = [(row, pool.submit(task, items[row.index])) for row in batch]
-    # Collect in claim (= corpus) order so persists land deterministically,
-    # exactly like the unledgered thread backend.
-    for row, future in futures:
-        try:
-            result = future.result()
-        except Exception as exc:
-            book.mark_failed(
-                row.index, f"{type(exc).__name__}: {exc}", worker=worker_id
-            )
-            continue
-        _settle(executor, book, row, items[row.index], result, writer, features, results, worker_id)
-
-
-def _round_process(
-    executor, pool, book, batch, items, sample_rate, writer, features, results, worker_id
-) -> None:
-    futures = [
-        (row, pool.submit(_worker_run, row.index, items[row.index], sample_rate))
-        for row in batch
-    ]
-    for row, future in futures:
-        try:
-            _, result, error = future.result()
-        except Exception as exc:
-            # Pool infrastructure failure on this item (most commonly an
-            # unpicklable corpus item) — charge it like any other failure.
-            book.mark_failed(
-                row.index, f"{type(exc).__name__}: {exc}", worker=worker_id
-            )
-            continue
-        if error is not None:
-            message, worker_tb = error
-            book.mark_failed(row.index, message, worker=worker_id)
-            continue
-        _settle(executor, book, row, items[row.index], result, writer, features, results, worker_id)
-
-
-def _settle(
-    executor, book, row, item, result, writer, features, results, worker_id
-) -> None:
+def _settle(book, row, item, result, writer, features, results, worker_id) -> None:
     """Persist one collected result, then — and only then — mark it done."""
     if writer is not None:
         try:
-            executor._persist(writer, row.recording, item, result, features)
-            writer.flush()
+            persist_item(writer, row.recording, item, result, features)
         except Exception as exc:
             # A persist failure is a *store* problem (full disk, bad
             # shard), not an item problem: charge the attempt for
             # honesty, then abort the run — the writer's buffered state
             # can no longer be trusted, and every further persist would
             # hit the same disk.  The ledger survives for resume.
-            source = describe_source(item)
             try:
                 book.mark_failed(
                     row.index,
@@ -386,13 +281,10 @@ def _settle(
                 )
             except LedgerError:  # pragma: no cover - defensive
                 pass
-            done = tuple(r.index for r in book.rows if r.state == DONE)
-            raise CorpusExecutionError(
-                f"failed to persist corpus item {row.index} ({source}) to "
-                f"the store: {type(exc).__name__}: {exc}",
-                index=row.index,
-                source=source,
-                completed=done,
+            raise corpus_failure(
+                "failed to persist", row.index, item,
+                f" to the store: {type(exc).__name__}: {exc}",
+                [r.index for r in book.rows if r.state == DONE],
             ) from exc
     book.mark_done(row.index, worker=worker_id)
     results[row.index] = result

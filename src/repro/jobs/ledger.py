@@ -116,7 +116,7 @@ class LedgerConfig:
 
 def default_recording_name(index: int) -> str:
     """The store recording name for corpus item ``index`` (matches the
-    :class:`~repro.pipeline.executor.CorpusExecutor` default)."""
+    ``recordings=`` default of :meth:`repro.pipeline.executor.CorpusExecutor.run`)."""
     return f"rec-{index:05d}"
 
 

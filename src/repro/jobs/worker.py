@@ -30,6 +30,10 @@ import time
 import urllib.error
 import urllib.request
 
+from ..pipeline.builder import AcousticPipeline
+from ..pipeline.executor import close_store
+from .executor import open_runner_store, persist_item
+
 __all__ = ["JobWorker", "WorkerError", "ControlPlaneConflict"]
 
 
@@ -54,8 +58,6 @@ class JobWorker:
         poll: float = 1.0,
         timeout: float = 30.0,
     ) -> None:
-        from ..pipeline.builder import AcousticPipeline
-
         self.url = url.rstrip("/")
         self.pipeline = (
             pipeline.build() if isinstance(pipeline, AcousticPipeline) else pipeline
@@ -75,7 +77,7 @@ class JobWorker:
 
         Returns the number of items this worker completed.
         """
-        writer, owned = self._open_store()
+        writer, owned = open_runner_store(self.store)
         features = any(stage.name == "features" for stage in self.pipeline.stages)
         try:
             while max_items is None or (self.completed + self.failed) < max_items:
@@ -88,8 +90,7 @@ class JobWorker:
                     continue
                 self._process(item, float(reply.get("lease", 60.0)), writer, features)
         finally:
-            if writer is not None:
-                writer.close() if owned else writer.flush()
+            close_store(writer, owned)
         return self.completed
 
     def _process(self, item: dict, lease: float, writer, features: bool) -> None:
@@ -99,8 +100,7 @@ class JobWorker:
         try:
             result = self.pipeline.run(item["source"], sample_rate=self.sample_rate)
             if writer is not None:
-                writer.write_result(item["recording"], result, features=features)
-                writer.flush()
+                persist_item(writer, item["recording"], item["source"], result, features)
         except Exception as exc:
             beat.stop()
             self.failed += 1
@@ -127,17 +127,6 @@ class JobWorker:
         self.completed += 1
 
     # -- plumbing --------------------------------------------------------------
-
-    def _open_store(self):
-        if self.store is None:
-            return None, False
-        from ..store.writer import StoreWriter
-
-        if isinstance(self.store, StoreWriter):
-            return self.store, False
-        from .executor import _NO_AUTO_FLUSH
-
-        return StoreWriter(self.store, flush_values=_NO_AUTO_FLUSH), True
 
     def _post(self, path: str, payload: dict) -> dict:
         data = json.dumps(payload).encode()

@@ -237,36 +237,9 @@ class AcousticPipeline:
         eager :meth:`build` is needed here — except for ``from_store=``,
         which replays stored ensembles through a built graph.
         """
-        if from_store is not None:
-            return self.build().run_corpus(
-                corpus,
-                backend=backend,
-                workers=workers,
-                sample_rate=sample_rate,
-                store=store,
-                from_store=from_store,
-                recordings=recordings,
-                ledger=ledger,
-                ledger_config=ledger_config,
-            )
-        if ledger is not None:
-            from ..jobs import run_corpus as run_ledgered
-
-            return run_ledgered(
-                self,
-                corpus,
-                ledger,
-                backend=backend,
-                workers=workers,
-                sample_rate=sample_rate,
-                store=store,
-                recordings=recordings,
-                config=ledger_config,
-            )
-        from .executor import CorpusExecutor
-
-        return CorpusExecutor(self, backend=backend, workers=workers).run(
-            corpus, sample_rate=sample_rate, store=store, recordings=recordings
+        return _run_corpus(
+            self, corpus, backend=backend, workers=workers, sample_rate=sample_rate, store=store,
+            from_store=from_store, recordings=recordings, ledger=ledger, ledger_config=ledger_config,
         )
 
     def to_river(
@@ -533,66 +506,9 @@ class BuiltPipeline:
         retry policy when the ledger file is first created; an existing
         ledger keeps the policy it was created with.
         """
-        if ledger is not None:
-            if from_store is not None:
-                raise PipelineBuildError(
-                    "ledger= tracks extraction work; a from_store= replay "
-                    "re-reads already-persisted rows, so there is nothing "
-                    "durable to ledger — pass one or the other"
-                )
-            from ..jobs import run_corpus as run_ledgered
-
-            return run_ledgered(
-                self,
-                corpus,
-                ledger,
-                backend=backend,
-                workers=workers,
-                sample_rate=sample_rate,
-                store=store,
-                recordings=recordings,
-                config=ledger_config,
-            )
-        if from_store is not None:
-            if corpus is not None:
-                raise PipelineBuildError(
-                    "pass either a corpus or from_store=, not both"
-                )
-            from ..store.reader import coerce_reader
-            from ..store.writer import StoreError, coerce_writer
-
-            reader = coerce_reader(from_store)
-            names = list(recordings) if recordings is not None else reader.recordings()
-            if store is None:
-                return [
-                    self.run_from_store(reader, name, sample_rate=sample_rate)
-                    for name in names
-                ]
-            # Read → enrich → persist sweep: replay each recording and write
-            # the enriched result (e.g. patterns, labels) to a second store.
-            writer, owned = coerce_writer(store)
-            try:
-                if writer.path.resolve() == reader.path.resolve():
-                    raise StoreError(
-                        "from_store= and store= point at the same store; "
-                        "appending a sweep's output onto its own input would "
-                        "duplicate every ensemble row — write to a new path"
-                    )
-                results = []
-                for name in names:
-                    result = self.run_from_store(reader, name, sample_rate=sample_rate)
-                    info = reader.recording_info(name)
-                    writer.write_result(name, result, station=info.station)
-                    results.append(result)
-                writer.flush()
-            finally:
-                if owned:
-                    writer.close()
-            return results
-        from .executor import CorpusExecutor
-
-        return CorpusExecutor(self, backend=backend, workers=workers).run(
-            corpus, sample_rate=sample_rate, store=store, recordings=recordings
+        return _run_corpus(
+            self, corpus, backend=backend, workers=workers, sample_rate=sample_rate, store=store,
+            from_store=from_store, recordings=recordings, ledger=ledger, ledger_config=ledger_config,
         )
 
     def extract_stream(
@@ -688,3 +604,69 @@ class BuiltPipeline:
             moved.extend(stage.flush())
             pending = moved
         yield from pending
+
+
+def _run_corpus(
+    pipeline: AcousticPipeline | BuiltPipeline, corpus, *, backend, workers, sample_rate,
+    store, from_store, recordings, ledger, ledger_config,
+) -> list[PipelineResult]:
+    """The routing behind both ``run_corpus`` methods: ledgered run, store
+    replay, or plain executor.  Only the replay needs a built graph."""
+    if ledger is not None:
+        if from_store is not None:
+            raise PipelineBuildError(
+                "ledger= tracks extraction work; a from_store= replay "
+                "re-reads already-persisted rows, so there is nothing "
+                "durable to ledger — pass one or the other"
+            )
+        from ..jobs import run_corpus as run_ledgered
+
+        return run_ledgered(
+            pipeline,
+            corpus,
+            ledger,
+            backend=backend,
+            workers=workers,
+            sample_rate=sample_rate,
+            store=store,
+            recordings=recordings,
+            config=ledger_config,
+        )
+    if from_store is None:
+        from .executor import CorpusExecutor
+
+        return CorpusExecutor(pipeline, backend=backend, workers=workers).run(
+            corpus, sample_rate=sample_rate, store=store, recordings=recordings
+        )
+    if corpus is not None:
+        raise PipelineBuildError("pass either a corpus or from_store=, not both")
+    if isinstance(pipeline, AcousticPipeline):
+        pipeline = pipeline.build()
+    from ..store.reader import coerce_reader
+    from ..store.writer import StoreError, coerce_writer
+
+    reader = coerce_reader(from_store)
+    names = list(recordings) if recordings is not None else reader.recordings()
+    if store is None:
+        return [pipeline.run_from_store(reader, name, sample_rate=sample_rate) for name in names]
+    # Read → enrich → persist sweep: replay each recording and write
+    # the enriched result (e.g. patterns, labels) to a second store.
+    writer, owned = coerce_writer(store)
+    try:
+        if writer.path.resolve() == reader.path.resolve():
+            raise StoreError(
+                "from_store= and store= point at the same store; "
+                "appending a sweep's output onto its own input would "
+                "duplicate every ensemble row — write to a new path"
+            )
+        results = []
+        for name in names:
+            result = pipeline.run_from_store(reader, name, sample_rate=sample_rate)
+            info = reader.recording_info(name)
+            writer.write_result(name, result, station=info.station)
+            results.append(result)
+        writer.flush()
+    finally:
+        if owned:
+            writer.close()
+    return results

@@ -19,6 +19,12 @@ replacement for a serial loop.  Per-item failures are wrapped in
 description of its source; worker errors are caught inside the worker and
 shipped back as data, so a raising stage can never deadlock the pool.
 
+All three backends run through one :class:`Dispatcher`, which owns the
+pool and the per-worker stage graphs and yields per-item outcomes in
+submission order.  :meth:`CorpusExecutor.run` consumes it with an
+abort-on-first-error policy; the ledgered runner in :mod:`repro.jobs`
+consumes the same loop with a retry-and-quarantine policy.
+
 The classify stage holds a live classifier object.  Thread workers share
 it (MESO queries are read-only apart from timing counters); process
 workers each receive a pickled copy, so classifier ``stats`` accumulated
@@ -33,6 +39,8 @@ import threading
 import traceback
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,26 +108,151 @@ def describe_source(item) -> str:
     return name
 
 
-# -- process-backend worker plumbing ------------------------------------------
+def corpus_failure(
+    what: str, index: int, item, detail: str, completed, worker_traceback: str | None = None
+) -> CorpusExecutionError:
+    """A :class:`CorpusExecutionError` reading ``"<what> corpus item <index>
+    (<source>)<detail>"`` that honours the index/source/completed contract."""
+    source = describe_source(item)
+    return CorpusExecutionError(
+        f"{what} corpus item {index} ({source}){detail}",
+        index=index,
+        source=source,
+        worker_traceback=worker_traceback,
+        completed=tuple(completed),
+    )
+
+
+# -- the dispatch loop ---------------------------------------------------------
 #
-# The worker builds its pipeline once per process (initializer) and reuses
-# it for every item; stages reset themselves at the start of each run.
-# Errors are returned as data, never raised, so the pool cannot be broken
-# by an exception that fails to pickle.
+# One initializer/run pair serves thread and process workers alike.  A worker
+# builds its stage graph on its first item and reuses it for every later one
+# (stages reset themselves at the start of each run).  Errors are returned as
+# data, never raised, so no exception that fails to pickle can break the pool.
 
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(payload: bytes) -> None:
-    _WORKER_STATE["pipeline"] = pickle.loads(payload).build()
+_WORKER = threading.local()
 
 
-def _worker_run(index: int, item, sample_rate: int | None):
+class ItemError(NamedTuple):
+    """Why one corpus item failed.  ``worker_traceback`` is formatted inside
+    a process worker, where the exception object may not survive pickling;
+    failures in this process carry the exception itself as ``cause``."""
+
+    message: str
+    worker_traceback: str | None = None
+    cause: BaseException | None = None
+
+
+def _worker_init(spec, isolated: bool) -> None:
+    """Pool initializer.  ``isolated`` means a separate process: ``spec``
+    arrives pickled and errors go back as text."""
+    _WORKER.spec, _WORKER.isolated, _WORKER.pipeline = spec, isolated, None
+
+
+def _worker_run(item, sample_rate: int | None, worker=_WORKER):
+    """``(result, None)`` or ``(None, ItemError)`` for one item."""
     try:
-        result = _WORKER_STATE["pipeline"].run(item, sample_rate=sample_rate)
-        return index, result, None
-    except BaseException as exc:  # noqa: BLE001 - shipped back, re-raised in parent
-        return index, None, (f"{type(exc).__name__}: {exc}", traceback.format_exc())
+        if worker.pipeline is None:
+            spec = pickle.loads(worker.spec) if worker.isolated else worker.spec
+            worker.pipeline = spec.build()
+        return worker.pipeline.run(item, sample_rate=sample_rate), None
+    except BaseException as exc:
+        # In this process an interrupt or exit is the caller's, not the
+        # item's; a process worker ships everything back to the parent.
+        if not (worker.isolated or isinstance(exc, Exception)):
+            raise
+        message = f"{type(exc).__name__}: {exc}"
+        if worker.isolated:
+            return None, ItemError(message, worker_traceback=traceback.format_exc())
+        return None, ItemError(message, cause=exc)
+
+
+class Dispatcher:
+    """The one ordered dispatch loop behind every corpus run.
+
+    A context manager that owns the backend's worker pool and one stage
+    graph per worker, both alive until ``__exit__`` however many batches go
+    through :meth:`outcomes`.  Leaving the context cancels work that has not
+    started, so a consumer that aborts on the first failure does not pay for
+    the rest of the queue.  ``size`` (the corpus length) caps the process pool.
+    """
+
+    def __init__(self, executor: "CorpusExecutor", sample_rate: int | None, size: int) -> None:
+        self.sample_rate = sample_rate
+        self.pool: Executor | None = None
+        if executor.backend == "serial":
+            pipeline = executor._pipeline or executor.builder.build()
+            self._inline = SimpleNamespace(pipeline=pipeline, isolated=False)
+        elif executor.backend == "thread":
+            self.pool = ThreadPoolExecutor(
+                max_workers=executor.workers,
+                initializer=_worker_init,
+                initargs=(executor.builder, False),
+            )
+        else:
+            try:
+                payload = pickle.dumps(executor.builder)
+            except Exception as exc:
+                raise CorpusExecutionError(
+                    "the process backend pickles the pipeline spec to the "
+                    f"workers, but this spec is not picklable: {exc}"
+                ) from exc
+            self.pool = ProcessPoolExecutor(
+                max_workers=min(executor.workers, max(size, 1)),
+                initializer=_worker_init,
+                initargs=(payload, True),
+            )
+
+    def __enter__(self) -> "Dispatcher":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self.pool is not None:
+            self.pool.shutdown(wait=True, cancel_futures=True)
+
+    def outcomes(self, indexed_items):
+        """Yield ``(index, result, error)`` for each ``(index, item)``, in
+        the order given; ``error`` is ``None`` or an :class:`ItemError`.
+
+        Never raises for an item: a raising stage and a pool-infrastructure
+        failure (most commonly an unpicklable item, whose error lands on
+        exactly that item's future) both come back as data.  The serial
+        backend runs an item only when its outcome is asked for, so item
+        *i+1* never starts before the consumer is done with item *i*; a
+        pool is handed the whole batch at once.
+        """
+        if self.pool is None:
+            for index, item in indexed_items:
+                yield (index, *_worker_run(item, self.sample_rate, self._inline))
+            return
+        futures = [
+            (index, self.pool.submit(_worker_run, item, self.sample_rate))
+            for index, item in indexed_items
+        ]
+        for index, future in futures:
+            try:
+                result, error = future.result()
+            except Exception as exc:
+                result, error = None, ItemError(f"{type(exc).__name__}: {exc}", cause=exc)
+            yield index, result, error
+
+
+# -- store plumbing shared with repro.jobs -------------------------------------
+
+
+def close_store(writer, owned: bool) -> None:
+    """Close a writer the run opened; flush one the caller passed in."""
+    if writer is None:
+        return
+    if owned:
+        writer.close()
+    else:
+        writer.flush()
+
+
+def persist_result(writer, name: str, item, result, features: bool) -> None:
+    station = str(getattr(item, "station_id", "") or "")
+    writer.write_result(name, result, station=station, features=features)
 
 
 class CorpusExecutor:
@@ -178,7 +311,9 @@ class CorpusExecutor:
         collected, under ``recordings`` names (default ``rec-00000`` …);
         results are collected in corpus order on every backend, so a
         failure leaves exactly the items in
-        :attr:`CorpusExecutionError.completed` persisted.
+        :attr:`CorpusExecutionError.completed` persisted.  The first
+        failure aborts the run on every backend: items the workers have
+        not started yet are cancelled, not run.
         """
         items = self._coerce_corpus(corpus)
         if self.backend != "serial" and self._has_stage("store"):
@@ -195,164 +330,33 @@ class CorpusExecutor:
             names = self._recording_names(items, recordings)
         if not items:
             return []
-        if self.backend == "serial":
-            return self._run_serial(items, sample_rate, store, names)
-        if self.backend == "thread":
-            return self._run_thread(items, sample_rate, store, names)
-        return self._run_process(items, sample_rate, store, names)
-
-    # -- backends -------------------------------------------------------------
-
-    def _run_serial(
-        self, items: list, sample_rate: int | None, store=None, names=None
-    ) -> list[PipelineResult]:
-        pipeline = self._pipeline or self.builder.build()
-        writer, owned = self._open_store(store)
         features = self._has_stage("features")
         results: list[PipelineResult] = []
+        # An index enters `completed` only once its result is collected
+        # *and* persisted, never inferred from a prefix range.
         completed: list[int] = []
-        try:
-            for index, item in enumerate(items):
-                try:
-                    result = self._run_one(pipeline, index, item, sample_rate)
-                except CorpusExecutionError as exc:
-                    exc.completed = tuple(completed)
-                    raise
-                if writer is not None:
-                    self._persist_checked(
-                        writer, names[index], item, result, features, index, completed
-                    )
-                results.append(result)
-                completed.append(index)
-        finally:
-            self._close_store(writer, owned)
-        return results
-
-    def _run_thread(
-        self, items: list, sample_rate: int | None, store=None, names=None
-    ) -> list[PipelineResult]:
-        # One stage graph per worker thread: stages are stateful, so they
-        # must never be shared, but rebuilding per item would waste work.
-        local = threading.local()
-
-        def task(index: int, item) -> PipelineResult:
-            pipeline = getattr(local, "pipeline", None)
-            if pipeline is None:
-                pipeline = self.builder.build()
-                local.pipeline = pipeline
-            return self._run_one(pipeline, index, item, sample_rate)
-
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            return self._gather(pool, task, items, store, names)
-
-    def _run_process(
-        self, items: list, sample_rate: int | None, store=None, names=None
-    ) -> list[PipelineResult]:
-        try:
-            payload = pickle.dumps(self.builder)
-        except Exception as exc:
-            raise CorpusExecutionError(
-                "the process backend pickles the pipeline spec to the "
-                f"workers, but this spec is not picklable: {exc}"
-            ) from exc
-        workers = min(self.workers, len(items))
-        writer, owned = self._open_store(store)
-        features = self._has_stage("features")
-        try:
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=_worker_init, initargs=(payload,)
-            ) as pool:
-                futures = [
-                    pool.submit(_worker_run, index, item, sample_rate)
-                    for index, item in enumerate(items)
-                ]
-                results: list[PipelineResult | None] = [None] * len(items)
-                completed: list[int] = []
-                for position, future in enumerate(futures):
-                    try:
-                        index, result, error = future.result()
-                    except Exception as exc:
-                        # Worker-side stage errors come back as data; anything
-                        # raised here is pool infrastructure — most commonly an
-                        # unpicklable corpus item, whose error lands on exactly
-                        # this future.  Honour the index/source contract anyway.
-                        source = describe_source(items[position])
-                        raise CorpusExecutionError(
-                            f"pipeline failed on corpus item {position} ({source}): "
-                            f"{type(exc).__name__}: {exc}",
-                            index=position,
-                            source=source,
-                            completed=tuple(completed),
-                        ) from exc
+        with Dispatcher(self, sample_rate, len(items)) as dispatch:
+            writer, owned = self._open_store(store)
+            try:
+                for index, result, error in dispatch.outcomes(enumerate(items)):
+                    item = items[index]
                     if error is not None:
-                        message, worker_tb = error
-                        source = describe_source(items[index])
-                        raise CorpusExecutionError(
-                            f"pipeline failed on corpus item {index} ({source}): "
-                            f"{message}\n--- worker traceback ---\n{worker_tb}",
-                            index=index,
-                            source=source,
-                            worker_traceback=worker_tb,
-                            completed=tuple(completed),
-                        )
-                    results[index] = result
+                        detail = f": {error.message}"
+                        if error.worker_traceback is not None:
+                            detail += f"\n--- worker traceback ---\n{error.worker_traceback}"
+                        raise corpus_failure(
+                            "pipeline failed on", index, item, detail, completed, error.worker_traceback
+                        ) from error.cause
                     # Persist *before* recording completion: a failing
                     # persist must not leave its index in the resume seed.
                     if writer is not None:
                         self._persist_checked(
-                            writer, names[index], items[index], result, features, index, completed
+                            writer, names[index], item, result, features, index, completed
                         )
+                    results.append(result)
                     completed.append(index)
-        finally:
-            self._close_store(writer, owned)
-        return results  # type: ignore[return-value]
-
-    # -- shared helpers -------------------------------------------------------
-
-    def _run_one(
-        self, pipeline: BuiltPipeline, index: int, item, sample_rate: int | None
-    ) -> PipelineResult:
-        try:
-            return pipeline.run(item, sample_rate=sample_rate)
-        except CorpusExecutionError:
-            raise
-        except Exception as exc:
-            source = describe_source(item)
-            raise CorpusExecutionError(
-                f"pipeline failed on corpus item {index} ({source}): "
-                f"{type(exc).__name__}: {exc}",
-                index=index,
-                source=source,
-            ) from exc
-
-    def _gather(
-        self, pool: Executor, task, items: list, store=None, names=None
-    ) -> list[PipelineResult]:
-        futures = [pool.submit(task, index, item) for index, item in enumerate(items)]
-        # Collect in submission (= corpus) order; the first failure wins and
-        # the context manager drains the rest on exit.
-        writer, owned = self._open_store(store)
-        features = self._has_stage("features")
-        results: list[PipelineResult] = []
-        # Explicit per-item completion list, same semantics as the process
-        # backend: an index enters `completed` only once its result is
-        # collected *and* persisted, never inferred from a prefix range.
-        completed: list[int] = []
-        try:
-            for position, future in enumerate(futures):
-                try:
-                    result = future.result()
-                except CorpusExecutionError as exc:
-                    exc.completed = tuple(completed)
-                    raise
-                if writer is not None:
-                    self._persist_checked(
-                        writer, names[position], items[position], result, features, position, completed
-                    )
-                results.append(result)
-                completed.append(position)
-        finally:
-            self._close_store(writer, owned)
+            finally:
+                close_store(writer, owned)
         return results
 
     # -- store plumbing -------------------------------------------------------
@@ -381,20 +385,6 @@ class CorpusExecutor:
 
         return coerce_writer(store)
 
-    @staticmethod
-    def _close_store(writer, owned: bool) -> None:
-        if writer is None:
-            return
-        if owned:
-            writer.close()
-        else:
-            writer.flush()
-
-    @staticmethod
-    def _persist(writer, name: str, item, result, features: bool) -> None:
-        station = str(getattr(item, "station_id", "") or "")
-        writer.write_result(name, result, station=station, features=features)
-
     def _persist_checked(
         self, writer, name: str, item, result, features: bool, index: int, completed: list[int]
     ) -> None:
@@ -405,15 +395,11 @@ class CorpusExecutor:
         exactly when it matters most.
         """
         try:
-            self._persist(writer, name, item, result, features)
+            persist_result(writer, name, item, result, features)
         except Exception as exc:
-            source = describe_source(item)
-            raise CorpusExecutionError(
-                f"failed to persist corpus item {index} ({source}) to the "
-                f"store: {type(exc).__name__}: {exc}",
-                index=index,
-                source=source,
-                completed=tuple(completed),
+            raise corpus_failure(
+                "failed to persist", index, item,
+                f" to the store: {type(exc).__name__}: {exc}", completed,
             ) from exc
 
     @staticmethod

@@ -16,6 +16,9 @@ The headline guarantees under test:
 from __future__ import annotations
 
 import pickle
+import time
+import uuid
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +36,7 @@ from repro.pipeline import (
     Stage,
     StageRegistry,
 )
+from repro.pipeline.executor import Dispatcher
 from repro.synth import ClipBuilder, get_species
 from repro.synth.dataset import CorpusSpec, build_corpus
 
@@ -63,10 +67,28 @@ class ExplodingStage(Stage):
         return [event]
 
 
+class RecordingStage(Stage):
+    """Leaves one file in ``log_dir`` per item it starts (visible across
+    process workers), then holds the worker briefly so a queue builds up."""
+
+    name = "recording"
+
+    def __init__(self, log_dir: str) -> None:
+        self.log_dir = Path(log_dir)
+
+    def start(self, sample_rate: int) -> None:
+        (self.log_dir / uuid.uuid4().hex).touch()
+        time.sleep(0.05)
+
+    def process(self, event):
+        return [event]
+
+
 def failing_registry() -> StageRegistry:
     registry = StageRegistry()
     registry.register("extract", STAGES.factory("extract"))
     registry.register("exploding", ExplodingStage)
+    registry.register("recording", RecordingStage)
     return registry
 
 
@@ -283,6 +305,70 @@ class TestErrorPaths:
         builder = AcousticPipeline(registry=registry).extract(FAST_EXTRACTION).stage("local")
         with pytest.raises(CorpusExecutionError, match="not picklable"):
             builder.build().run_corpus(corpus_clips, backend="process")
+
+
+class TestFailFast:
+    """The first failure aborts the run: queued items are cancelled, not run."""
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_failure_at_item_zero_cancels_unstarted_work(self, backend, tmp_path):
+        log_dir = tmp_path / "started"
+        log_dir.mkdir()
+        builder = (
+            AcousticPipeline(registry=failing_registry())
+            .extract(FAST_EXTRACTION, keep_traces=False)
+            .stage("recording", log_dir=str(log_dir))
+        )
+        rng = np.random.default_rng(7)
+        corpus = [str(tmp_path / "missing.wav")]  # fails before any stage starts
+        corpus += [0.01 * rng.standard_normal(4000) for _ in range(30)]
+        with pytest.raises(CorpusExecutionError) as excinfo:
+            builder.run_corpus(corpus, backend=backend, workers=2, sample_rate=16000)
+        assert excinfo.value.index == 0 and excinfo.value.completed == ()
+        assert len(list(log_dir.iterdir())) < len(corpus) - 1
+
+
+class TestDispatcher:
+    """The one dispatch loop under both runners, driven directly."""
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_ordered_outcomes_errors_as_data_pool_reused(
+        self, trained_builder, corpus_clips, serial_reference, backend, tmp_path, monkeypatch
+    ):
+        builds = []
+        build = AcousticPipeline.build
+        monkeypatch.setattr(
+            AcousticPipeline, "build", lambda self: builds.append(1) or build(self)
+        )
+        # Indices are the caller's labels, not positions: outcomes follow
+        # the order of the batch whatever they are.
+        batch = [(7, corpus_clips[0]), (3, str(tmp_path / "missing.wav")), (5, corpus_clips[1])]
+        if backend == "process":
+            batch.append((9, (chunk for chunk in [corpus_clips[0].samples])))
+        executor = CorpusExecutor(trained_builder, backend=backend, workers=2)
+        with Dispatcher(executor, None, len(batch)) as dispatch:
+            pool = dispatch.pool
+            first = list(dispatch.outcomes(batch))
+            second = list(dispatch.outcomes(batch[:3]))
+            assert dispatch.pool is pool
+        # One stage graph per worker serves both batches.
+        assert len(builds) <= executor.workers
+
+        for outcomes in (first, second):
+            assert [index for index, _, _ in outcomes[:3]] == [7, 3, 5]
+            (_, good, no_error), (_, no_result, error), (_, also_good, _) = outcomes[:3]
+            assert no_error is None and no_result is None
+            assert_same_results(serial_reference[:2], [good, also_good])
+            assert "missing.wav" in error.message
+            if backend == "process":
+                assert "FileNotFoundError" in error.worker_traceback and error.cause is None
+            else:
+                assert isinstance(error.cause, FileNotFoundError)
+                assert error.worker_traceback is None
+        if backend == "process":
+            index, result, error = first[3]
+            assert (index, result) == (9, None)
+            assert "pickle" in error.message and error.worker_traceback is None
 
 
 class TestCompletedContract:

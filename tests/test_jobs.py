@@ -430,6 +430,23 @@ run_corpus(pipe, paths, ledger, store={str(tmp_path / 'kill.store')!r})
         assert_results_equal(ref_results, results)
 
 
+class TestStageGraphReuse:
+    def test_thread_backend_builds_one_graph_per_worker(
+        self, feature_builder, corpus_clips, reference, tmp_path, monkeypatch
+    ):
+        """The worker pool and its stage graphs span every claim round."""
+        builds = []
+        build = AcousticPipeline.build
+        monkeypatch.setattr(
+            AcousticPipeline, "build", lambda self: builds.append(1) or build(self)
+        )
+        results = run_corpus(
+            feature_builder, corpus_clips * 2, tmp_path / "l.json", backend="thread", workers=2
+        )
+        assert_results_equal(reference[0] * 2, results)
+        assert 1 <= len(builds) <= 2
+
+
 # -- persist discipline --------------------------------------------------------
 
 

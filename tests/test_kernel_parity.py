@@ -4,8 +4,8 @@ The hot-path optimisation replaced four scalar kernels with vectorised
 ones while promising **bit-identical** output — not merely close, since any
 rounding drift would break the engine's chunk-invariance contract (batch ≡
 stream ≡ river) one ULP at a time.  Each test here pins a vectorised
-kernel against the historical implementation it replaced, embedded
-verbatim as the parity anchor, over hypothesis-generated inputs:
+kernel against the historical implementation it replaced, kept verbatim
+in ``tests/_seed_anchors.py``, over hypothesis-generated inputs:
 
 * ``paa`` vs the seed fractional double loop (divisible *and* fractional
   segment counts — the two take different code paths);
@@ -34,6 +34,8 @@ from repro.pipeline import ChunkedAnomalyScorer
 from repro.timeseries.bitmap import windowed_code_counts
 from repro.timeseries.paa import paa, paa_matrix, paa_records
 
+from _seed_anchors import seed_paa, seed_window_counts
+
 SETTINGS = dict(max_examples=40, deadline=None)
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -45,49 +47,8 @@ def float_array(data, min_size=1, max_size=200):
 
 
 # ---------------------------------------------------------------------------
-# Seed implementations, kept verbatim as parity anchors.
+# The seed ``_evaluate``, built on ``_seed_anchors.seed_window_counts``.
 # ---------------------------------------------------------------------------
-
-
-def seed_paa(values: np.ndarray, segments: int) -> np.ndarray:
-    """The seed fractional double loop (pre-vectorisation ``paa``)."""
-    arr = np.asarray(values, dtype=float)
-    n = arr.size
-    if segments == n:
-        return arr.copy()
-    if n % segments == 0:
-        return arr.reshape(segments, n // segments).mean(axis=1)
-    output = np.zeros(segments, dtype=float)
-    seg_len = n / segments
-    for seg in range(segments):
-        start = seg * seg_len
-        end = (seg + 1) * seg_len
-        first = int(np.floor(start))
-        last = int(np.ceil(end))
-        total = 0.0
-        for j in range(first, min(last, n)):
-            overlap = min(end, j + 1) - max(start, j)
-            if overlap > 0:
-                total += arr[j] * overlap
-        output[seg] = total / seg_len
-    return output
-
-
-def seed_window_counts(codes, ends, lead_starts, lag_starts, n_codes):
-    """The seed per-code ``searchsorted`` scan from ``_evaluate``."""
-    buffer = np.asarray(codes, dtype=np.int64)
-    lead_counts = np.zeros((len(ends), n_codes))
-    lag_counts = np.zeros((len(ends), n_codes))
-    for code in range(n_codes):
-        positions = np.flatnonzero(buffer == code)
-        if positions.size == 0:
-            continue
-        at_end = np.searchsorted(positions, ends)
-        at_lead = np.searchsorted(positions, lead_starts)
-        at_lag = np.searchsorted(positions, lag_starts)
-        lead_counts[:, code] = at_end - at_lead
-        lag_counts[:, code] = at_lead - at_lag
-    return lead_counts, lag_counts
 
 
 class _SeedEvaluateScorer(ChunkedAnomalyScorer):

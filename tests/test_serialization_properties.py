@@ -11,8 +11,8 @@ no matter where the chunk boundaries fall.
 The zero-copy wire path adds a second contract (``TestViewFraming``): the
 buffer lists returned by ``pack_record_views`` / ``frame_record_views``
 join to *exactly* the legacy byte functions' output — which itself must
-stay byte-identical to the pre-views encoder, embedded verbatim below as
-the anchor — for arbitrary records, dtypes, zero-length payloads and
+stay byte-identical to the pre-views encoder, kept verbatim in
+``tests/_seed_anchors.py`` as the anchor — for arbitrary records, dtypes, zero-length payloads and
 non-contiguous input arrays; and the offset-cursor decoder survives
 adversarial chunkings (1-byte feeds, splits inside the prefix, many frames
 per feed, compaction-crossing volumes) while rejecting poisoned length
@@ -20,9 +20,6 @@ prefixes instead of buffering forever.
 """
 
 from __future__ import annotations
-
-import json
-import struct
 
 import numpy as np
 import pytest
@@ -46,7 +43,9 @@ from repro.river import (
     unpack_record,
     unpack_stream,
 )
-from repro.river.serialization import FRAME_PREFIX, MAGIC, VERSION
+from repro.river.serialization import FRAME_PREFIX
+
+from _seed_anchors import seed_frame_record, seed_pack_record
 
 # -- strategies ----------------------------------------------------------------
 
@@ -185,36 +184,6 @@ class TestFramedTransport:
 
 
 # -- zero-copy views framing ---------------------------------------------------
-
-
-_SEED_PREFIX = struct.Struct("<4sBI")
-
-
-def seed_pack_record(record: Record) -> bytes:
-    """The pre-views ``pack_record``, verbatim: the wire-format anchor."""
-    header: dict = {
-        "record_type": record.record_type.value,
-        "subtype": record.subtype,
-        "scope": record.scope,
-        "scope_type": record.scope_type,
-        "sequence": record.sequence,
-        "context": record.context,
-    }
-    if record.payload is not None:
-        payload = np.ascontiguousarray(record.payload)
-        header["dtype"] = payload.dtype.str
-        header["shape"] = list(payload.shape)
-        body = payload.tobytes()
-    else:
-        body = b""
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    return _SEED_PREFIX.pack(MAGIC, VERSION, len(header_bytes)) + header_bytes + body
-
-
-def seed_frame_record(record: Record) -> bytes:
-    """The pre-views ``frame_record``, verbatim."""
-    blob = seed_pack_record(record)
-    return FRAME_PREFIX.pack(len(blob)) + blob
 
 
 class TestViewFraming:
