@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import FAST_EXTRACTION, EnsembleExtractor, MesoClassifier
+from repro import FAST_EXTRACTION, AcousticPipeline, MesoClassifier
 from repro.baselines import EnergySegmenter, KnnClassifier
 from repro.core.anomaly import sax_anomaly_scores
 from repro.river import build_extraction_pipeline, validate_stream
@@ -33,8 +33,8 @@ def test_anomaly_scoring_throughput(benchmark, throughput_clip):
 
 
 def test_extraction_throughput(benchmark, throughput_clip):
-    extractor = EnsembleExtractor(FAST_EXTRACTION)
-    result = benchmark(extractor.extract_clip, throughput_clip)
+    pipeline = AcousticPipeline().extract(FAST_EXTRACTION, normalization="global").build()
+    result = benchmark(pipeline.run, throughput_clip)
     assert result.retained_samples < result.total_samples
 
 

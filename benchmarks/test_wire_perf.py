@@ -226,7 +226,7 @@ def test_syscalls_per_pumped_scope_coalesce():
         while sender._send_buffer:
             assert time.monotonic() < deadline, "drain never completed"
             server.recv(1 << 20)
-            sender._flush_once()
+            sender.flush_nowait()
         syscalls = sender.send_syscalls - before
         frames_per_syscall = queued / max(syscalls, 1)
         assert frames_per_syscall >= THRESHOLDS["wire_min_frames_per_syscall"], (

@@ -6,9 +6,9 @@ by Kasten, McKinley and Gage:
 * :mod:`repro.timeseries` — Z-normalisation, PAA, SAX, SAX bitmaps and the
   motif / discord baselines from related work.
 * :mod:`repro.dsp` — windows, DFT, spectrograms, oscillograms and WAV I/O.
-* :mod:`repro.core` — the low-level extraction algorithms: SAX-bitmap
-  anomaly scoring, the adaptive trigger and the cutter that extracts
-  *ensembles* from continuous acoustic streams.
+* :mod:`repro.core` — the whole-clip extraction primitives
+  (``sax_anomaly_scores``, ``AdaptiveTrigger``, ``cut_ensembles``) that
+  ``normalization="global"`` chains, plus data-reduction accounting.
 * :mod:`repro.pipeline` — **the primary API**: one composable stage graph
   (extract → features → classify) built with the fluent
   :class:`~repro.pipeline.AcousticPipeline` and executed in batch over
@@ -38,13 +38,7 @@ Quickstart::
     result = pipe.run(clip)
     print(f"extracted {len(result.ensembles)} ensembles, "
           f"data reduction {result.reduction:.1%}")
-
-The pre-pipeline entry points ``EnsembleExtractor`` and ``PatternExtractor``
-remain importable from this module but are deprecated; new code should build
-an :class:`~repro.pipeline.AcousticPipeline` instead.
 """
-
-import warnings as _warnings
 
 from .config import (
     FAST_EXTRACTION,
@@ -57,10 +51,7 @@ from .config import (
 from .core import (
     AdaptiveTrigger,
     Ensemble,
-    ExtractionResult,
     ReductionReport,
-    SaxAnomalyScorer,
-    StreamingCutter,
     cut_ensembles,
     measure_reduction,
     sax_anomaly_scores,
@@ -102,39 +93,7 @@ from .synth import (
     get_species,
 )
 
-__version__ = "1.1.0"
-
-#: Deprecated top-level names and where the real implementations live.
-_DEPRECATED = {
-    "EnsembleExtractor": (
-        "repro.core.extractor",
-        "build an AcousticPipeline().extract(config) pipeline instead",
-    ),
-    "PatternExtractor": (
-        "repro.classify.features",
-        "add a .features(...) stage to an AcousticPipeline instead",
-    ),
-}
-
-
-def __getattr__(name: str):
-    """Resolve deprecated entry points lazily, with a DeprecationWarning."""
-    if name in _DEPRECATED:
-        module_path, advice = _DEPRECATED[name]
-        _warnings.warn(
-            f"repro.{name} is deprecated; {advice}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        import importlib
-
-        return getattr(importlib.import_module(module_path), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(__all__) | set(globals()))
-
+__version__ = "2.0.0"
 
 __all__ = [
     "AcousticClip",
@@ -151,32 +110,27 @@ __all__ = [
     "CorpusExecutor",
     "CorpusSpec",
     "Ensemble",
-    "EnsembleExtractor",
     "EvaluationItem",
     "ExperimentResult",
     "ExtractStage",
     "ExtractionConfig",
-    "ExtractionResult",
     "FAST_EXTRACTION",
     "FeatureConfig",
     "FeatureStage",
     "MesoClassifier",
     "MesoConfig",
     "PAPER_EXTRACTION",
-    "PatternExtractor",
     "PipelineResult",
     "ReductionReport",
     "SPECIES",
     "SPECIES_CODES",
     "STAGES",
-    "SaxAnomalyScorer",
     "SensitivitySphere",
     "SocketChunkSource",
     "SphereTree",
     "SpeciesModel",
     "Stage",
     "StageRegistry",
-    "StreamingCutter",
     "TriggerConfig",
     "WavDirectorySource",
     "build_corpus",

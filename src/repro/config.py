@@ -84,8 +84,8 @@ class TriggerConfig:
     #: updates nor firing).  The smoothed anomaly score ramps up from zero
     #: while the SAX windows and the moving average fill; including that ramp
     #: in the baseline would bias the estimate of mu0 toward zero.  When 0,
-    #: :class:`repro.core.extractor.EnsembleExtractor` derives a settle
-    #: period from the anomaly configuration automatically.
+    #: :attr:`repro.pipeline.ExtractStage.settle` derives a settle period
+    #: from the anomaly configuration automatically.
     settle: int = 0
     #: Optional baseline gate, in standard deviations.  Scores above
     #: ``mu0 + baseline_gate_sigmas * sigma0`` are excluded from the baseline

@@ -1,19 +1,18 @@
-"""Ensemble extraction — the paper's primary contribution."""
+"""The whole-clip extraction primitives — SAX-bitmap scoring, adaptive trigger, cutter.
 
-from .anomaly import SaxAnomalyScorer, sax_anomaly_scores
-from .cutter import Ensemble, StreamingCutter, cut_ensembles
-from .extractor import EnsembleExtractor, ExtractionResult
+:class:`repro.pipeline.ExtractStage` is the one place a clip becomes
+ensembles; with ``normalization="global"`` it chains these three in order.
+"""
+
+from .anomaly import sax_anomaly_scores
+from .cutter import Ensemble, cut_ensembles
 from .reduction import ReductionReport, measure_reduction
 from .trigger import AdaptiveTrigger, trigger_signal
 
 __all__ = [
     "AdaptiveTrigger",
     "Ensemble",
-    "EnsembleExtractor",
-    "ExtractionResult",
     "ReductionReport",
-    "SaxAnomalyScorer",
-    "StreamingCutter",
     "cut_ensembles",
     "measure_reduction",
     "sax_anomaly_scores",

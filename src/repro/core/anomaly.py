@@ -8,28 +8,24 @@ the anomaly score.  A moving average over the score (paper: 2250 samples)
 turns isolated spikes into a window of anomalous behaviour that the trigger
 and cutter operators can act on.
 
-Two implementations are provided with identical semantics:
-
-* :func:`sax_anomaly_scores` — a vectorised batch path used by the
-  experiments and benchmarks (fast on whole clips);
-* :class:`SaxAnomalyScorer` — a sample-at-a-time streaming path used by the
-  Dynamic River operator (bounded memory, O(1) per sample).
+:func:`sax_anomaly_scores` is the whole-clip form: it Z-normalises against
+the entire signal, which is what ``normalization="global"`` on
+:class:`~repro.pipeline.ExtractStage` runs and what the experiment tables
+are pinned to.  The chunk-invariant form every streaming path runs is
+:class:`repro.pipeline.streaming.ChunkedAnomalyScorer`.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..config import AnomalyConfig
-from ..timeseries.bitmap import BitmapAccumulator, bitmap_distance, windowed_code_counts
+from ..timeseries.bitmap import windowed_code_counts
 from ..timeseries.normalize import znormalize
 from ..timeseries.sax import symbolize
-from ..timeseries.windows import MovingAverage, moving_average
+from ..timeseries.windows import moving_average
 
-__all__ = ["sax_anomaly_scores", "SaxAnomalyScorer"]
+__all__ = ["sax_anomaly_scores"]
 
 
 def sax_anomaly_scores(
@@ -48,9 +44,9 @@ def sax_anomaly_scores(
         Anomaly parameters (window, alphabet, n-gram level, smoothing).
     hop:
         Evaluate the score every ``hop`` samples and hold it constant in
-        between.  ``hop=1`` matches the streaming implementation exactly;
-        larger hops trade boundary resolution (a few milliseconds of audio)
-        for substantial speed-ups on long clips.
+        between.  ``hop=1`` scores every sample; larger hops trade boundary
+        resolution (a few milliseconds of audio) for substantial speed-ups
+        on long clips.
     smooth:
         Apply the configured moving-average smoothing to the score.
 
@@ -111,86 +107,3 @@ def sax_anomaly_scores(
     if smooth:
         scores = moving_average(scores, config.smooth_window)
     return scores
-
-
-@dataclass
-class SaxAnomalyScorer:
-    """Streaming SAX-bitmap anomaly scorer.
-
-    Feeds one sample at a time in O(1) amortised work per sample; the score
-    becomes meaningful once both the lag and lead windows have filled
-    (``2 * window + level - 1`` samples).  Normalisation uses running
-    estimates of the stream mean and deviation (a streaming operator cannot
-    Z-normalise against the whole clip), which converges to the batch
-    behaviour after a short warm-up.
-    """
-
-    config: AnomalyConfig = field(default_factory=AnomalyConfig)
-
-    def __post_init__(self) -> None:
-        self._lead = BitmapAccumulator(self.config.alphabet, self.config.level)
-        self._lag = BitmapAccumulator(self.config.alphabet, self.config.level)
-        self._smoother = MovingAverage(self.config.smooth_window)
-        self._symbols: deque[int] = deque(maxlen=self.config.level)
-        self._grams: deque[tuple[int, ...]] = deque()
-        self._count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    # -- running normalisation --------------------------------------------
-
-    def _normalize(self, sample: float) -> float:
-        self._count += 1
-        delta = sample - self._mean
-        self._mean += delta / self._count
-        self._m2 += delta * (sample - self._mean)
-        if self._count < 2:
-            return 0.0
-        std = np.sqrt(self._m2 / self._count)
-        if std <= 0:
-            return 0.0
-        return (sample - self._mean) / std
-
-    # -- streaming update ---------------------------------------------------
-
-    def update(self, sample: float) -> float:
-        """Push one sample and return the current smoothed anomaly score."""
-        window, level = self.config.window, self.config.level
-        lag_window = self.config.lag_window
-        normalized = self._normalize(float(sample))
-        symbol = int(symbolize(np.array([normalized]), self.config.alphabet)[0])
-        self._symbols.append(symbol)
-
-        if len(self._symbols) == level:
-            gram = tuple(self._symbols)
-            self._grams.append(gram)
-            self._lead.add(np.asarray(gram))
-            if self._lead.total > window:
-                # The oldest lead gram crosses the boundary into the lag window.
-                boundary = self._grams[-(window + 1)]
-                self._lead.remove(np.asarray(boundary))
-                self._lag.add(np.asarray(boundary))
-            if self._lag.total > lag_window:
-                oldest = self._grams.popleft()
-                self._lag.remove(np.asarray(oldest))
-
-        raw_score = 0.0
-        if self._lead.total == window and self._lag.total == lag_window:
-            raw_score = bitmap_distance(self._lead.frequencies(), self._lag.frequencies())
-        return self._smoother.update(raw_score)
-
-    def score_signal(self, signal: np.ndarray) -> np.ndarray:
-        """Score a whole signal through the streaming path (used in tests)."""
-        return np.array([self.update(sample) for sample in np.asarray(signal, dtype=float).ravel()])
-
-    @property
-    def ready(self) -> bool:
-        """True once both windows are full and the score is meaningful."""
-        return (
-            self._lead.total == self.config.window
-            and self._lag.total == self.config.lag_window
-        )
-
-    def reset(self) -> None:
-        """Clear all state (normalisation, windows, smoother)."""
-        self.__post_init__()

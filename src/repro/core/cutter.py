@@ -10,13 +10,11 @@ during anomalous behaviour — the ensembles — which is where the paper's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import TriggerConfig
-
-__all__ = ["Ensemble", "cut_ensembles", "StreamingCutter"]
+__all__ = ["Ensemble", "cut_ensembles"]
 
 
 @dataclass(frozen=True)
@@ -95,73 +93,3 @@ def cut_ensembles(
             Ensemble(samples=sig[start:end].copy(), start=int(start), end=int(end), sample_rate=sample_rate)
         )
     return ensembles
-
-
-@dataclass
-class StreamingCutter:
-    """Sample-at-a-time cutter used by the Dynamic River operator.
-
-    ``push`` accepts one (sample, trigger) pair and returns a completed
-    :class:`Ensemble` when a trigger-high run just ended (or ``None``
-    otherwise); ``flush`` closes any ensemble still open at end of stream,
-    mirroring the BadCloseScope behaviour of the pipeline.
-    """
-
-    sample_rate: int
-    min_duration: int = 1
-    _buffer: list[float] = field(default_factory=list, repr=False)
-    _open_start: int | None = field(default=None, repr=False)
-    _position: int = field(default=0, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.min_duration < 1:
-            raise ValueError(f"min_duration must be >= 1, got {self.min_duration}")
-
-    @property
-    def open(self) -> bool:
-        """True while an ensemble is currently being accumulated."""
-        return self._open_start is not None
-
-    def push(self, sample: float, trigger: int) -> Ensemble | None:
-        """Consume one sample and its trigger value."""
-        completed: Ensemble | None = None
-        if trigger:
-            if self._open_start is None:
-                self._open_start = self._position
-                self._buffer = []
-            self._buffer.append(float(sample))
-        else:
-            if self._open_start is not None:
-                completed = self._finish()
-        self._position += 1
-        return completed
-
-    def flush(self) -> Ensemble | None:
-        """Close an ensemble left open at the end of the stream."""
-        if self._open_start is None:
-            return None
-        return self._finish()
-
-    def _finish(self) -> Ensemble | None:
-        start = self._open_start
-        samples = np.asarray(self._buffer, dtype=float)
-        self._open_start = None
-        self._buffer = []
-        if samples.size < self.min_duration or start is None:
-            return None
-        return Ensemble(
-            samples=samples,
-            start=start,
-            end=start + samples.size,
-            sample_rate=self.sample_rate,
-        )
-
-
-def ensembles_from_trigger_config(
-    signal: np.ndarray,
-    trigger: np.ndarray,
-    sample_rate: int,
-    config: TriggerConfig,
-) -> list[Ensemble]:
-    """Cut ensembles using the minimum duration from a :class:`TriggerConfig`."""
-    return cut_ensembles(signal, trigger, sample_rate, min_duration=config.min_duration)

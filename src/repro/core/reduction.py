@@ -49,39 +49,22 @@ class ReductionReport:
 
 def measure_reduction(
     corpus: ClipCorpus,
-    extractor,
+    pipeline,
     backend: str = "serial",
     workers: int | None = None,
     store=None,
 ) -> tuple[ReductionReport, list]:
     """Extract every clip in ``corpus`` and report the aggregate reduction.
 
-    ``extractor`` is either a legacy :class:`EnsembleExtractor` (its
-    ``extract_clip`` is used) or a built
-    :class:`~repro.pipeline.AcousticPipeline` (its ``run`` is used); both
-    result types expose the ``ensembles`` / ``total_samples`` /
-    ``retained_samples`` accounting this report needs.  Pipelines can run
-    the corpus in parallel via ``backend`` / ``workers`` (see
-    :meth:`~repro.pipeline.BuiltPipeline.run_corpus`); the legacy extractor
-    is always serial.  ``store`` persists each result to a feature store as
-    it completes (pipeline extractors only).
+    ``pipeline`` is a built :class:`~repro.pipeline.AcousticPipeline`; the
+    corpus runs through its
+    :meth:`~repro.pipeline.BuiltPipeline.run_corpus` (``backend`` /
+    ``workers`` parallelise it, ``store`` persists each result to a feature
+    store as it completes).
     """
-    if hasattr(extractor, "run_corpus"):
-        results = extractor.run_corpus(
-            corpus.clips, backend=backend, workers=workers, store=store
-        )
-    else:
-        if store is not None:
-            raise ValueError(
-                "store= needs a pipeline extractor (run_corpus); the legacy "
-                "extractor cannot persist to a feature store"
-            )
-        extract = (
-            extractor.extract_clip
-            if hasattr(extractor, "extract_clip")
-            else extractor.run
-        )
-        results = [extract(clip) for clip in corpus.clips]
+    results = pipeline.run_corpus(
+        corpus.clips, backend=backend, workers=workers, store=store
+    )
     total = 0
     retained = 0
     count = 0

@@ -445,25 +445,13 @@ class BuiltPipeline:
         events: list[PipelineEvent] = []
         for stored in reader.iter_ensembles(recording=recording):
             if stored.n_patterns >= 0:
-                batch: list[PipelineEvent] = [
-                    FeaturesEvent(ensemble=stored.ensemble, patterns=stored.patterns)
-                ]
+                event: PipelineEvent = FeaturesEvent(
+                    ensemble=stored.ensemble, patterns=stored.patterns
+                )
             else:
-                batch = [EnsembleEvent(ensemble=stored.ensemble)]
-            for stage in stages:
-                moved: list[PipelineEvent] = []
-                for event in batch:
-                    moved.extend(stage.process(event))
-                batch = moved
-            events.extend(batch)
-        pending: list[PipelineEvent] = []
-        for stage in stages:
-            moved = []
-            for event in pending:
-                moved.extend(stage.process(event))
-            moved.extend(stage.flush())
-            pending = moved
-        events.extend(pending)
+                event = EnsembleEvent(ensemble=stored.ensemble)
+            events.extend(_push(stages, [event]))
+        events.extend(_flush(stages))
         return PipelineResult.from_events(
             events, sample_rate=rate, total_samples=info.total_samples
         )
@@ -575,16 +563,9 @@ class BuiltPipeline:
         offset = 0
         for chunk in chunks:
             arr = np.asarray(chunk, dtype=float).ravel()
-            events: list[PipelineEvent] = [
-                SignalChunk(samples=arr, sample_rate=sample_rate, offset=offset)
-            ]
+            signal = SignalChunk(samples=arr, sample_rate=sample_rate, offset=offset)
             offset += arr.size
-            for stage in self.stages:
-                batch: list[PipelineEvent] = []
-                for event in events:
-                    batch.extend(stage.process(event))
-                events = batch
-            yield from events
+            yield from _push(self.stages, [signal])
         # Stages downstream of extract never see SignalChunks (extract
         # consumes them), so observers that account stream length — the
         # store stage writes it as the recording's total_samples — get the
@@ -593,17 +574,28 @@ class BuiltPipeline:
             observe = getattr(stage, "observe_stream_end", None)
             if observe is not None:
                 observe(offset)
-        # End of stream: flush each stage once, pushing its flushed events
-        # through the stages downstream of it (single pass, like
-        # repro.river.Pipeline.flush).
-        pending: list[PipelineEvent] = []
-        for stage in self.stages:
-            moved: list[PipelineEvent] = []
-            for event in pending:
-                moved.extend(stage.process(event))
-            moved.extend(stage.flush())
-            pending = moved
-        yield from pending
+        yield from _flush(self.stages)
+
+
+def _push(stages: list[Stage], events: list[PipelineEvent]) -> list[PipelineEvent]:
+    """Push a batch of events through ``stages`` in order."""
+    for stage in stages:
+        moved: list[PipelineEvent] = []
+        for event in events:
+            moved.extend(stage.process(event))
+        events = moved
+    return events
+
+
+def _flush(stages: list[Stage]) -> list[PipelineEvent]:
+    """End of stream: flush each stage once, pushing its flushed events
+    through the stages downstream of it (single pass, like
+    :meth:`repro.river.Pipeline.flush`)."""
+    pending: list[PipelineEvent] = []
+    for stage in stages:
+        pending = _push([stage], pending)
+        pending.extend(stage.flush())
+    return pending
 
 
 def _run_corpus(

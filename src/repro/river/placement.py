@@ -85,10 +85,9 @@ class QoSMonitor:
     #: Backlog (queued input records) above which a segment is considered
     #: overloaded and a relocation is recommended.
     backlog_threshold: int = 256
-    history: list[QoSReport] = field(default_factory=list)
 
     def observe(self, deployment: "Deployment") -> list[QoSReport]:
-        """Record a snapshot of every segment in the deployment.
+        """Snapshot every segment in the deployment.
 
         A segment's backlog counts its input channel *plus* records its
         producers hold back in their outboxes because that channel is a
@@ -105,15 +104,15 @@ class QoSMonitor:
                     for producer in deployment.segments.values()
                     if producer.output_channel is segment.input_channel
                 )
-            report = QoSReport(
-                segment=name,
-                host=deployment.placement[name],
-                backlog=backlog,
-                processing_seconds=segment.processing_seconds,
-                state=segment.state,
+            snapshot.append(
+                QoSReport(
+                    segment=name,
+                    host=deployment.placement[name],
+                    backlog=backlog,
+                    processing_seconds=segment.processing_seconds,
+                    state=segment.state,
+                )
             )
-            snapshot.append(report)
-            self.history.append(report)
         return snapshot
 
     def overloaded(self, deployment: "Deployment") -> list[str]:

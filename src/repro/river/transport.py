@@ -200,8 +200,13 @@ class SocketChannel(Channel):
             if not sent:
                 return
 
-    def _flush_once(self) -> bool:
-        """Push buffered bytes into the socket; True when fully flushed."""
+    def flush_nowait(self) -> bool:
+        """Push buffered bytes into the socket without blocking.
+
+        True when nothing is left to send.  ``put`` only drains on the
+        producer's own calls, so whoever owns a channel whose producer has
+        gone quiet (a finished segment) must keep calling this until it is.
+        """
         while self._send_buffer:
             if self._sendmsg is not None:
                 # Vectored send: coalesce the views of as many queued frames
@@ -243,14 +248,14 @@ class SocketChannel(Channel):
     def put(self, record: Record) -> None:
         if self._closed:
             raise ChannelClosed(f"{self.label}: cannot put on a closed channel")
-        self._flush_once()
+        self.flush_nowait()
         if self.capacity is not None and len(self._send_buffer) >= self.capacity:
             raise ChannelFull(
                 f"{self.label}: {len(self._send_buffer)} records in flight "
                 f"reached the channel capacity of {self.capacity}"
             )
         self._send_buffer.append(frame_record_views(record))
-        self._flush_once()
+        self.flush_nowait()
 
     def flush(self, timeout: float | None = None) -> None:
         """Block (bounded) until every buffered record reached the kernel.
@@ -260,7 +265,7 @@ class SocketChannel(Channel):
         an indefinite hang.
         """
         deadline = time.monotonic() + (self.timeout if timeout is None else timeout)
-        while not self._flush_once():
+        while not self.flush_nowait():
             if time.monotonic() > deadline:
                 raise ChannelSendError(
                     f"{self.label}: peer stopped reading; "
@@ -507,7 +512,14 @@ class ProcessHost:
                 backlogged = segment.pending_output
                 progressed += segment.step(self.plan.batch_size)
                 progressed += max(0, backlogged - segment.pending_output)
-            self._current = None
+            # A segment that finished with frames still queued never calls
+            # put() again, and the blocking flush in run() waits for every
+            # segment on this host — one of which may, via another host, be
+            # waiting for exactly those frames.  Bytes sent here count as
+            # progress through _io_bytes below.
+            self._current = "<flush>"
+            for channel in self._sockets:
+                channel.flush_nowait()
             io_bytes = self._io_bytes()
             if io_bytes != last_io:
                 progressed += 1
@@ -519,8 +531,11 @@ class ProcessHost:
             else:
                 if time.monotonic() > idle_deadline:
                     stuck = ", ".join(
-                        s.name for s in self.segments if not s.finished
+                        s.name
+                        for s in self.segments
+                        if not s.finished or s.pending_output
                     )
+                    self._current = stuck
                     raise PlacementError(
                         f"host {self.plan.host!r} stalled: segments {stuck} made "
                         f"no progress for {self.plan.stall_timeout:.1f}s"
@@ -789,7 +804,8 @@ class ProcessDeployment:
 
     # -- failure handling ------------------------------------------------------
 
-    def _poll_workers(self) -> None:
+    def _read_control(self) -> None:
+        """Fold every control message already in the pipes into the workers."""
         for worker in self._workers:
             while worker.conn.poll(0):
                 try:
@@ -800,6 +816,10 @@ class ProcessDeployment:
                     worker.done = True
                 elif kind == "error":
                     worker.error = payload
+
+    def _poll_workers(self) -> None:
+        self._read_control()
+        for worker in self._workers:
             if worker.error is not None:
                 self._fail(f"host {worker.host!r} reported a failure")
             if not worker.done and not worker.process.is_alive():
@@ -807,6 +827,9 @@ class ProcessDeployment:
 
     def _fail(self, reason: str) -> None:
         """Compose and raise the PlacementError naming every stranded segment."""
+        # A worker reports its error before its sockets close, so a failure
+        # first seen on a link still finds the worker's own account here.
+        self._read_control()
         details = []
         for worker in self._workers:
             process = worker.process

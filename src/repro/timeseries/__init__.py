@@ -1,6 +1,6 @@
 """Time-series representations: Z-normalisation, PAA, SAX, bitmaps, baselines."""
 
-from .bitmap import BitmapAccumulator, bitmap_distance, sax_bitmap, windowed_code_counts
+from .bitmap import bitmap_distance, sax_bitmap, windowed_code_counts
 from .discord import Discord, brute_force_discord, find_discord
 from .distance import (
     distances_to_point,
@@ -21,21 +21,16 @@ from .sax import (
     symbolize,
 )
 from .windows import (
-    MovingAverage,
     RunningStats,
-    SlidingWindow,
     moving_average,
     sliding_windows,
 )
 
 __all__ = [
-    "BitmapAccumulator",
     "Discord",
     "Motif",
-    "MovingAverage",
     "RunningStats",
     "SaxEncoder",
-    "SlidingWindow",
     "bitmap_distance",
     "brute_force_discord",
     "distances_to_point",

@@ -10,14 +10,11 @@ and other acoustic events (Section 2 and 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 __all__ = [
     "sax_bitmap",
     "bitmap_distance",
-    "BitmapAccumulator",
     "windowed_code_counts",
 ]
 
@@ -72,15 +69,13 @@ def windowed_code_counts(
 
     For each evaluation point ``i`` the lead window covers
     ``codes[lead_starts[i]:ends[i]]`` and the lag window
-    ``codes[lag_starts[i]:lead_starts[i]]`` — the two sliding
-    :class:`BitmapAccumulator` windows of the anomaly scorer, counted for
-    every evaluation point at once.  Returns ``(lead_counts, lag_counts)``
+    ``codes[lag_starts[i]:lead_starts[i]]`` — the two adjacent windows of
+    the anomaly scorer, counted for every evaluation point at once.  Returns ``(lead_counts, lag_counts)``
     as C-contiguous float arrays of shape ``(len(ends), n_codes)``,
     bit-identical to accumulating each window one gram at a time.
 
-    The kernel is the vectorised form of sliding a pair of
-    :class:`BitmapAccumulator` windows along the stream: because the
-    boundary arrays are sorted, each gram position belongs to a *contiguous
+    The kernel is the vectorised form of sliding a pair of gram-count
+    windows along the stream: because the boundary arrays are sorted, each gram position belongs to a *contiguous
     run* of evaluation windows, so one ``+1``/``-1`` difference table over
     ``(code, eval)`` — cumulative-summed along the eval axis — reproduces
     every window's counts.  The table rows each net to zero (every ``+1``
@@ -177,63 +172,3 @@ def bitmap_distance(bitmap_a: np.ndarray, bitmap_b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError(f"bitmaps must have equal shape, got {a.shape} and {b.shape}")
     return float(np.sqrt(np.sum((a - b) ** 2)))
-
-
-@dataclass
-class BitmapAccumulator:
-    """Incrementally maintained n-gram counts over a sliding symbol window.
-
-    The sample-at-a-time scorer (:class:`repro.core.anomaly.SaxAnomalyScorer`,
-    the Dynamic River record operator) keeps two of these — one for the lag
-    window, one for the lead window — and updates them in O(1) per sample
-    instead of recounting the whole window.  The chunk-at-a-time scorer
-    (:class:`repro.pipeline.streaming.ChunkedAnomalyScorer`) applies the same
-    idea vectorised over whole chunks via :func:`windowed_code_counts`, which
-    counts both windows for every evaluation point in one pass.
-    """
-
-    alphabet: int
-    level: int = 2
-    counts: np.ndarray = field(init=False)
-    total: int = field(init=False, default=0)
-
-    def __post_init__(self) -> None:
-        if self.level < 1:
-            raise ValueError(f"level must be >= 1, got {self.level}")
-        if self.alphabet < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {self.alphabet}")
-        self.counts = np.zeros(self.alphabet**self.level, dtype=float)
-
-    def _index(self, gram: np.ndarray) -> int:
-        value = 0
-        for symbol in gram:
-            value = value * self.alphabet + int(symbol)
-        return value
-
-    def add(self, gram: np.ndarray) -> None:
-        """Add one n-gram occurrence."""
-        if len(gram) != self.level:
-            raise ValueError(f"expected a {self.level}-gram, got length {len(gram)}")
-        self.counts[self._index(gram)] += 1.0
-        self.total += 1
-
-    def remove(self, gram: np.ndarray) -> None:
-        """Remove one previously added n-gram occurrence."""
-        if len(gram) != self.level:
-            raise ValueError(f"expected a {self.level}-gram, got length {len(gram)}")
-        idx = self._index(gram)
-        if self.counts[idx] <= 0 or self.total <= 0:
-            raise ValueError("attempted to remove an n-gram that was never added")
-        self.counts[idx] -= 1.0
-        self.total -= 1
-
-    def frequencies(self) -> np.ndarray:
-        """Return the normalised frequency matrix (zeros when empty)."""
-        if self.total == 0:
-            return np.zeros_like(self.counts)
-        return self.counts / self.total
-
-    def reset(self) -> None:
-        """Clear all accumulated counts."""
-        self.counts[:] = 0.0
-        self.total = 0

@@ -8,17 +8,14 @@ primitives in a streaming-friendly way (O(1) per sample, bounded memory).
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "sliding_windows",
     "moving_average",
-    "MovingAverage",
     "RunningStats",
-    "SlidingWindow",
 ]
 
 
@@ -63,42 +60,6 @@ def moving_average(values: np.ndarray, width: int) -> np.ndarray:
     if arr.size > width:
         result[width:] = (cumulative[width:] - cumulative[:-width]) / width
     return result
-
-
-@dataclass
-class MovingAverage:
-    """Streaming trailing moving average over a fixed-width window."""
-
-    width: int
-    _window: deque = field(init=False, repr=False)
-    _total: float = field(init=False, default=0.0, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ValueError(f"width must be >= 1, got {self.width}")
-        self._window = deque(maxlen=self.width)
-
-    def update(self, value: float) -> float:
-        """Push ``value`` and return the current mean."""
-        if len(self._window) == self.width:
-            self._total -= self._window[0]
-        self._window.append(float(value))
-        self._total += float(value)
-        return self._total / len(self._window)
-
-    @property
-    def value(self) -> float:
-        """Current mean (0.0 before any sample has been seen)."""
-        if not self._window:
-            return 0.0
-        return self._total / len(self._window)
-
-    def __len__(self) -> int:
-        return len(self._window)
-
-    def reset(self) -> None:
-        self._window.clear()
-        self._total = 0.0
 
 
 @dataclass
@@ -151,41 +112,3 @@ class RunningStats:
         self.count = 0
         self.mean = 0.0
         self._m2 = 0.0
-
-
-@dataclass
-class SlidingWindow:
-    """Bounded FIFO of samples exposing the current contents as an array."""
-
-    width: int
-    _window: deque = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ValueError(f"width must be >= 1, got {self.width}")
-        self._window = deque(maxlen=self.width)
-
-    def push(self, value: float) -> float | None:
-        """Append ``value``; return the evicted sample if the window was full."""
-        evicted = None
-        if len(self._window) == self.width:
-            evicted = self._window[0]
-        self._window.append(float(value))
-        return evicted
-
-    def extend(self, values: np.ndarray) -> None:
-        for value in np.asarray(values, dtype=float).ravel():
-            self.push(value)
-
-    @property
-    def full(self) -> bool:
-        return len(self._window) == self.width
-
-    def values(self) -> np.ndarray:
-        return np.fromiter(self._window, dtype=float, count=len(self._window))
-
-    def __len__(self) -> int:
-        return len(self._window)
-
-    def reset(self) -> None:
-        self._window.clear()

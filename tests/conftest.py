@@ -10,8 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import ClipBuilder, FAST_EXTRACTION
-from repro.core.extractor import EnsembleExtractor
+from repro import AcousticPipeline, ClipBuilder, FAST_EXTRACTION
 from repro.experiments.datasets import TEST_SCALE, build_experiment_data
 
 
@@ -42,9 +41,15 @@ def quiet_clip(session_rng):
 
 
 @pytest.fixture(scope="session")
-def extraction_result(small_clip):
+def global_extraction():
+    """The whole-clip (``normalization="global"``) extraction pipeline."""
+    return AcousticPipeline().extract(FAST_EXTRACTION, normalization="global").build()
+
+
+@pytest.fixture(scope="session")
+def extraction_result(small_clip, global_extraction):
     """Ensembles extracted from the small clip with the fast configuration."""
-    return EnsembleExtractor(FAST_EXTRACTION).extract_clip(small_clip)
+    return global_extraction.run(small_clip)
 
 
 @pytest.fixture(scope="session")

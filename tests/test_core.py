@@ -5,12 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import AnomalyConfig, ExtractionConfig, TriggerConfig, FAST_EXTRACTION
+from repro.config import AnomalyConfig, ExtractionConfig, TriggerConfig
 from repro.core import (
     AdaptiveTrigger,
-    EnsembleExtractor,
-    SaxAnomalyScorer,
-    StreamingCutter,
     cut_ensembles,
     measure_reduction,
     sax_anomaly_scores,
@@ -75,29 +72,6 @@ class TestSaxAnomalyScores:
     def test_invalid_hop(self, rng):
         with pytest.raises(ValueError):
             sax_anomaly_scores(rng.standard_normal(100), AnomalyConfig(), hop=0)
-
-
-class TestStreamingScorer:
-    def test_streaming_matches_batch_shape(self):
-        signal = step_signal(length=4000)
-        config = AnomalyConfig(window=50, alphabet=6, smooth_window=128, lag_factor=16)
-        scorer = SaxAnomalyScorer(config)
-        streamed = scorer.score_signal(signal)
-        assert streamed.size == signal.size
-        assert scorer.ready
-        # The streaming scorer uses running normalisation, so exact equality
-        # with the batch scorer is not expected; the onset of the burst must
-        # still stand out against the preceding noise floor.
-        noise = streamed[1500:2900]
-        burst_onset = streamed[3100:3400]
-        assert burst_onset.mean() > noise.mean()
-
-    def test_reset_restores_initial_state(self):
-        scorer = SaxAnomalyScorer(AnomalyConfig(window=20, smooth_window=16, lag_factor=2))
-        scorer.score_signal(np.random.default_rng(0).standard_normal(500))
-        assert scorer.ready
-        scorer.reset()
-        assert not scorer.ready
 
 
 class TestAdaptiveTrigger:
@@ -199,37 +173,6 @@ class TestCutter:
         with pytest.raises(ValueError):
             cut_ensembles(np.zeros(10), np.zeros(11), 1000)
 
-    def test_streaming_cutter_matches_batch(self):
-        rng = np.random.default_rng(7)
-        signal = rng.standard_normal(500)
-        trigger = (rng.random(500) > 0.7).astype(int)
-        trigger[:5] = 0
-        trigger[-5:] = 0
-        batch = cut_ensembles(signal, trigger, 8000, min_duration=3)
-        cutter = StreamingCutter(sample_rate=8000, min_duration=3)
-        streamed = []
-        for sample, value in zip(signal, trigger):
-            done = cutter.push(sample, value)
-            if done is not None:
-                streamed.append(done)
-        final = cutter.flush()
-        if final is not None:
-            streamed.append(final)
-        assert len(streamed) == len(batch)
-        for a, b in zip(streamed, batch):
-            assert (a.start, a.end) == (b.start, b.end)
-            np.testing.assert_allclose(a.samples, b.samples)
-
-    def test_streaming_cutter_flush_closes_open_ensemble(self):
-        cutter = StreamingCutter(sample_rate=1000, min_duration=1)
-        for i in range(10):
-            assert cutter.push(float(i), 1) is None
-        assert cutter.open
-        ensemble = cutter.flush()
-        assert ensemble is not None
-        assert ensemble.length == 10
-        assert not cutter.open
-
     def test_ensemble_properties(self):
         ensemble = Ensemble(samples=np.zeros(160), start=100, end=260, sample_rate=16000)
         assert ensemble.length == 160
@@ -267,17 +210,17 @@ class TestEnsembleExtractor:
         assert labelled_ensembles, "expected at least one labelled ensemble"
         assert all(e.label == "NOCA" for e in labelled_ensembles)
 
-    def test_quiet_clip_produces_few_ensembles(self, quiet_clip):
-        result = EnsembleExtractor(FAST_EXTRACTION).extract_clip(quiet_clip)
+    def test_quiet_clip_produces_few_ensembles(self, quiet_clip, global_extraction):
+        result = global_extraction.run(quiet_clip)
         retained_fraction = result.retained_samples / result.total_samples
         assert retained_fraction < 0.05
 
-    def test_reduction_measurement_over_corpus(self):
+    def test_reduction_measurement_over_corpus(self, global_extraction):
         corpus = build_corpus(
             CorpusSpec(species=("NOCA", "RWBL"), clips_per_species=1, songs_per_clip=1,
                        clip_duration=10.0, sample_rate=16000, seed=3)
         )
-        report, results = measure_reduction(corpus, EnsembleExtractor(FAST_EXTRACTION))
+        report, results = measure_reduction(corpus, global_extraction)
         assert report.clips == 2
         assert len(results) == 2
         assert report.total_samples == sum(c.samples.size for c in corpus.clips)
@@ -317,19 +260,13 @@ class TestConfigValidation:
 
 
 class TestLabelledEdgeCases:
-    """Boundary behaviour of ExtractionResult.labelled()."""
+    """Boundary behaviour of PipelineResult.labelled()."""
 
     @staticmethod
     def _result_with(ensembles):
-        from repro.core.extractor import ExtractionResult
+        from repro.pipeline import PipelineResult
 
-        return ExtractionResult(
-            ensembles=ensembles,
-            anomaly_scores=np.zeros(0),
-            trigger=np.zeros(0),
-            sample_rate=8000,
-            total_samples=100,
-        )
+        return PipelineResult(sample_rate=8000, total_samples=100, ensembles=ensembles)
 
     @staticmethod
     def _clip_with_vocalization(start=0, end=50, species="NOCA"):

@@ -612,11 +612,16 @@ class TestShortEnsembleAccounting:
 
     def test_legacy_extractor_counts_short_ensembles(self, small_clip):
         """Pattern yield is a pure function of ensemble length, so the
-        legacy extractor can (and does) count short ensembles itself."""
-        from repro.core.extractor import EnsembleExtractor
-
-        result = EnsembleExtractor(FAST_EXTRACTION).extract_clip(small_clip)
+        count the feature stage reports on the whole-clip (``"global"``)
+        path is the count the lengths alone predict."""
         features = FAST_EXTRACTION.features
+        result = (
+            AcousticPipeline()
+            .extract(FAST_EXTRACTION, normalization="global")
+            .features(features)
+            .build()
+            .run(small_clip)
+        )
         span = features.record_size + (features.record_size // 2) * (
             features.records_per_pattern - 1
         )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from repro import FAST_EXTRACTION, MesoClassifier
 from repro.classify import PatternExtractor, vote_ensemble
-from repro.core import EnsembleExtractor
 from repro.river import (
     Deployment,
     Host,
@@ -29,7 +28,7 @@ from repro.synth import ClipBuilder
 
 
 class TestFullStack:
-    def test_sensor_to_classifier_round_trip(self):
+    def test_sensor_to_classifier_round_trip(self, global_extraction):
         """Clips recorded by simulated stations end up classified by MESO."""
         # 1. Record clips at two stations (each hears a different species).
         deployment = SensorDeployment()
@@ -47,14 +46,13 @@ class TestFullStack:
         assert len(deployment.observatory) >= 4
 
         # 2. Extract labelled ensembles from the delivered clips.
-        extractor = EnsembleExtractor(FAST_EXTRACTION)
         pattern_extractor = PatternExtractor(
             config=FAST_EXTRACTION.features, sample_rate=16000, use_paa=True
         )
         ensembles = []
         for clip in deployment.observatory.clips:
             species = clip.station_id.split("-")[1]
-            for ensemble in extractor.extract_clip(clip).labelled(clip):
+            for ensemble in global_extraction.run(clip).labelled(clip):
                 ensembles.append(ensemble)
         assert ensembles, "extraction found nothing in the delivered clips"
         species_seen = {e.label for e in ensembles}
@@ -77,10 +75,10 @@ class TestFullStack:
             correct += voted == patterns[group[0]].label
         assert correct / max(len(test_groups), 1) >= 0.6
 
-    def test_river_pipeline_matches_direct_extraction_pattern_counts(self, rng):
+    def test_river_pipeline_matches_direct_extraction_pattern_counts(self, rng, global_extraction):
         """The record-oriented pipeline and the array API agree on the workload size."""
         clip = ClipBuilder(sample_rate=16000, duration=12.0).build("TUTI", rng, songs_per_species=2)
-        direct = EnsembleExtractor(FAST_EXTRACTION, hop=16).extract_clip(clip)
+        direct = global_extraction.run(clip)
         direct_patterns = []
         pattern_extractor = PatternExtractor(config=FAST_EXTRACTION.features, sample_rate=16000)
         for ensemble in direct.ensembles:

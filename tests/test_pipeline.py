@@ -7,9 +7,9 @@ The headline guarantees under test:
   that clip produces identical ensembles and labels;
 * **chunk invariance** — ``extract_stream()`` over 4 chunks matches a
   single-shot ``run()`` over the concatenated signal exactly;
-* **compatibility** — ``normalization="global"`` reproduces the legacy
-  ``EnsembleExtractor`` bit-for-bit, and the deprecated top-level entry
-  points still work (with a DeprecationWarning).
+* **compatibility** — ``normalization="global"`` is bit-for-bit the three
+  whole-clip primitives (``sax_anomaly_scores`` → ``AdaptiveTrigger`` →
+  ``cut_ensembles``) the experiment tables are pinned to.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ import pytest
 
 import repro
 from repro.config import FAST_EXTRACTION, AnomalyConfig
+from repro.core.anomaly import sax_anomaly_scores
 from repro.core.cutter import Ensemble, cut_ensembles
-from repro.core.extractor import EnsembleExtractor
+from repro.core.trigger import AdaptiveTrigger
 from repro.dsp import write_wav
 from repro.meso import MesoClassifier
 from repro.pipeline import (
@@ -545,13 +546,23 @@ class TestDeployEntryPoint:
 
 class TestGlobalNormalizationMode:
     def test_matches_legacy_extractor_exactly(self, song_clip):
-        legacy = EnsembleExtractor(FAST_EXTRACTION).extract_clip(song_clip)
+        anomaly, trigger_config = FAST_EXTRACTION.anomaly, FAST_EXTRACTION.trigger
+        scores = sax_anomaly_scores(song_clip.samples, anomaly, hop=16, smooth=True)
+        settle = anomaly.window + anomaly.lag_window + anomaly.smooth_window
+        trigger = AdaptiveTrigger(trigger_config, settle=settle).apply(scores)
+        ensembles = cut_ensembles(
+            song_clip.samples,
+            trigger,
+            song_clip.sample_rate,
+            min_duration=trigger_config.min_duration,
+        )
         pipe = AcousticPipeline().extract(FAST_EXTRACTION, normalization="global").build()
         result = pipe.run(song_clip)
-        assert_same_ensembles(legacy.ensembles, result.ensembles)
-        np.testing.assert_array_equal(legacy.anomaly_scores, result.anomaly_scores)
-        np.testing.assert_array_equal(legacy.trigger, result.trigger)
-        assert legacy.reduction == result.reduction
+        assert_same_ensembles(ensembles, result.ensembles)
+        np.testing.assert_array_equal(scores, result.anomaly_scores)
+        np.testing.assert_array_equal(trigger, result.trigger)
+        retained = sum(e.length for e in ensembles)
+        assert result.reduction == 1.0 - retained / song_clip.samples.size
 
     def test_rejects_chunked_streams(self, song_clip):
         pipe = AcousticPipeline().extract(FAST_EXTRACTION, normalization="global").build()
@@ -599,23 +610,6 @@ class TestOnStationPipeline:
 
 
 class TestDeprecatedShims:
-    def test_old_imports_warn_but_work(self, song_clip):
-        with pytest.warns(DeprecationWarning, match="AcousticPipeline"):
-            extractor_cls = repro.EnsembleExtractor
-        with pytest.warns(DeprecationWarning, match="features"):
-            pattern_cls = repro.PatternExtractor
-        result = extractor_cls(FAST_EXTRACTION).extract_clip(song_clip)
-        assert result.ensembles
-        patterns = pattern_cls(
-            config=FAST_EXTRACTION.features, sample_rate=song_clip.sample_rate
-        )
-        vectors = patterns.patterns_from_ensemble(result.ensembles[0])
-        assert all(v.size == patterns.features_per_pattern for v in vectors)
-
-    def test_deprecated_names_stay_in_all_and_dir(self):
-        assert "EnsembleExtractor" in repro.__all__
-        assert "PatternExtractor" in dir(repro)
-
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
             repro.DefinitelyNotAThing

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.classify.confusion import ConfusionMatrix
-from repro.core.cutter import StreamingCutter, cut_ensembles
+from repro.core.cutter import cut_ensembles
 from repro.meso import MesoClassifier
 from repro.river import (
     ScopeStack,
@@ -160,25 +160,6 @@ class TestCutterProperties:
         for run_start, run_end in runs:
             if run_end - run_start >= min_duration:
                 assert mask[run_start:run_end].all()
-
-    @given(
-        trigger=arrays(np.int8, st.integers(1, 300), elements=st.integers(0, 1)),
-        min_duration=st.integers(1, 8),
-    )
-    @settings(**DEFAULT_SETTINGS)
-    def test_streaming_cutter_equals_batch(self, trigger, min_duration):
-        signal = np.sin(np.arange(trigger.size, dtype=float))
-        batch = cut_ensembles(signal, trigger, 1000, min_duration=min_duration)
-        cutter = StreamingCutter(sample_rate=1000, min_duration=min_duration)
-        streamed = []
-        for sample, value in zip(signal, trigger):
-            done = cutter.push(sample, int(value))
-            if done is not None:
-                streamed.append(done)
-        tail = cutter.flush()
-        if tail is not None:
-            streamed.append(tail)
-        assert [(e.start, e.end) for e in streamed] == [(e.start, e.end) for e in batch]
 
 
 class TestScopeStackProperties:

@@ -38,7 +38,9 @@ from repro.river import (
     frame_record,
     split_into_segments,
 )
-from repro.river.operators import ClipSource
+from repro.river.operator_base import PassThrough, ensure_end_of_stream
+from repro.river.operators import ClipSource, SubtypeFilter
+from repro.river.pipeline import Pipeline, PipelineSegment
 from repro.river.transport import ProcessDeployment, SocketChannel, transport_available
 from repro.synth import ClipBuilder, get_species
 
@@ -195,6 +197,36 @@ class TestSocketChannel:
         client.close()
         server.close()
 
+    def test_flush_nowait_alone_delivers_a_quiet_producers_tail(self, rng):
+        """Frames the kernel refused during ``put`` must reach the peer
+        through ``flush_nowait`` alone — a producer that has finished never
+        calls ``put`` again (the fan-out stall's root cause)."""
+        client, server = socket.socketpair()
+        client.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        server.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sender = SocketChannel(client, capacity=None, label="quiet-producer")
+        receiver = SocketChannel(server, capacity=None)
+        sent = []
+        while sender.flush_nowait():  # until the kernel refuses bytes
+            assert len(sent) < 1000, "the kernel never pushed back"
+            sent.append(data_record(rng.normal(size=8192), sequence=len(sent)))
+            sender.put(sent[-1])
+        assert len(sender) >= 1
+        # The peer starts reading only now; the producer stays quiet.
+        received = []
+        deadline = time.monotonic() + 10.0
+        while len(received) < len(sent):
+            assert time.monotonic() < deadline, "queued frames never arrived"
+            sender.flush_nowait()
+            record = receiver.get()
+            if record is not None:
+                received.append(record)
+        assert sender.flush_nowait() and len(sender) == 0
+        for a, b in zip(sent, received):
+            assert_records_equal(a, b)
+        sender.close()
+        receiver.close()
+
 
 class TestZeroCopyWirePath:
     """The scatter-gather wire path: vectored sends, recv_into, TCP_NODELAY."""
@@ -233,7 +265,7 @@ class TestZeroCopyWirePath:
         while sender._send_buffer:
             assert time.monotonic() < deadline, "drain never completed"
             server.recv(1 << 20)
-            sender._flush_once()
+            sender.flush_nowait()
         syscalls = sender.send_syscalls - before
         assert syscalls < queued / 2, (
             f"{syscalls} syscalls for {queued} queued frames: no coalescing"
@@ -473,6 +505,50 @@ class TestTransportFaults:
         assert killed, "the fault was never injected"
         # Bounded: detection must not wait out several stall windows.
         assert time.monotonic() - start < 60.0
+
+    def test_alternating_hosts_deliver_a_finished_segments_tail(self):
+        """h0→h1→h0→h1, the placement every fan-out plan produces: p0
+        finishes with frames still queued on its socket while p2, on the
+        same host, waits (via h1) for exactly those frames.  The payload
+        overruns the kernel socket buffers, so without the per-round drain
+        in ``ProcessHost._pump`` this stalls (``segments p2 made no
+        progress``)."""
+        segments = [
+            PipelineSegment(f"p{i}", Pipeline([PassThrough()], name=f"p{i}"))
+            for i in range(4)
+        ]
+        placement = {"p0": "h0", "p1": "h1", "p2": "h0", "p3": "h1"}
+        records = [
+            data_record(np.full(1 << 15, float(i)), sequence=i) for i in range(120)
+        ]  # 120 x 256 KiB
+        outputs = ProcessDeployment(segments, placement, stall_timeout=5.0).run(
+            ensure_end_of_stream(records)
+        )
+        assert len(outputs) == len(records) + 1
+        for a, b in zip(records, outputs):
+            assert_records_equal(a, b)
+
+    def test_worker_stall_names_the_stuck_segments(self):
+        """A stall detected inside a worker's pump blames the segments that
+        made no progress, not ``'<startup>'``."""
+        segments = [
+            PipelineSegment("swallow", Pipeline([SubtypeFilter([])], name="swallow")),
+            PipelineSegment("starved", Pipeline([PassThrough()], name="starved")),
+        ]
+        placement = {"swallow": "h0", "starved": "h1"}
+
+        def trickle():
+            # Keeps the parent and h0 busy well past h1's stall window.
+            for sequence in range(200):
+                yield data_record(np.zeros(4), sequence=sequence)
+                time.sleep(0.01)
+
+        with pytest.raises(PlacementError) as error:
+            ProcessDeployment(segments, placement, stall_timeout=0.5).run(trickle())
+        message = str(error.value)
+        assert "host 'h1' failed in segment 'starved'" in message
+        assert "segments starved made no progress" in message
+        assert "<startup>" not in message
 
     def test_missing_placement_rejected(self, trained_builder):
         segments = split_into_segments(trained_builder.to_river())
