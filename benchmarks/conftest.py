@@ -11,7 +11,6 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 # The perf gates time the seed implementations in tests/_seed_anchors.py,
@@ -39,8 +38,3 @@ def bench_corpus():
         CorpusSpec(clips_per_species=1, songs_per_clip=2, clip_duration=12.0,
                    sample_rate=16000, seed=2007)
     )
-
-
-@pytest.fixture(scope="session")
-def session_rng():
-    return np.random.default_rng(2007)

@@ -12,10 +12,6 @@ in here:
 * **resume beats re-extraction** — resuming a half-completed ledgered run
   costs visibly less than extracting the full corpus, because ``done``
   items come back from the store instead of the extraction chain.
-
-The raw transition throughput benchmark records how many
-claim→done cycles per second one ledger file sustains (the control
-plane's ceiling on work-unit handout).
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ import time
 import pytest
 
 from repro import FAST_EXTRACTION
-from repro.jobs import Ledger, LedgerConfig, run_corpus
+from repro.jobs import Ledger, run_corpus
 from repro.pipeline import AcousticPipeline
 from repro.pipeline.executor import describe_source
 from repro.synth.dataset import CorpusSpec, build_corpus
@@ -118,24 +114,3 @@ def test_resume_beats_full_run(jobs_corpus, tmp_path):
         f"\nresume of {len(clips) - half}/{len(clips)} items {resume_seconds:.2f}s "
         f"vs full run {full_seconds:.2f}s"
     )
-
-
-@pytest.mark.benchmark(group="jobs-ledger")
-def test_ledger_transition_throughput(benchmark, tmp_path):
-    """claim -> done cycles/second on one ledger file (control-plane ceiling)."""
-    sources = [f"clip-{i}" for i in range(100)]
-    counter = [0]
-
-    def cycle():
-        path = tmp_path / f"t-{counter[0]}.ledger"
-        counter[0] += 1
-        ledger = Ledger.create(path, sources, config=LedgerConfig(lease=300.0))
-        while True:
-            row = ledger.claim("bench")
-            if row is None:
-                break
-            ledger.mark_done(row.index, worker="bench")
-        return ledger
-
-    ledger = benchmark(cycle)
-    assert ledger.all_settled()

@@ -1,4 +1,4 @@
-"""Feature-store benchmarks: write/read throughput, replay speed-up, memory.
+"""Feature-store benchmarks: replay speed-up and the streamed-write memory bound.
 
 The store's reason to exist is that classify-from-store beats re-running
 extraction: the ``test_classify_from_store_beats_reextract`` assertion
@@ -17,7 +17,7 @@ import pytest
 
 from repro import FAST_EXTRACTION, MesoClassifier
 from repro.pipeline import AcousticPipeline
-from repro.store import StoreReader, StoreWriter
+from repro.store import StoreReader
 from repro.synth import ClipBuilder, get_species
 from repro.synth.dataset import CorpusSpec, build_corpus
 
@@ -62,30 +62,6 @@ def extracted(store_corpus, store_meso, tmp_path_factory):
     results = pipe.run_corpus(store_corpus.clips, store=store)
     extract_seconds = time.perf_counter() - start
     return {"results": results, "store": store, "extract_seconds": extract_seconds}
-
-
-def test_store_write_throughput(benchmark, extracted, tmp_path):
-    results = extracted["results"]
-    total_samples = sum(result.total_samples for result in results)
-
-    def write():
-        with StoreWriter(tmp_path / "w", backend="auto") as writer:
-            for index, result in enumerate(results):
-                writer.write_result(f"rec-{index:05d}", result)
-        return total_samples
-
-    written = benchmark.pedantic(write, rounds=1, iterations=1)
-    assert written == total_samples
-
-
-def test_store_read_throughput(benchmark, extracted):
-    reader = StoreReader(extracted["store"])
-
-    def read():
-        return [reader.result(name) for name in StoreReader(extracted["store"]).recordings()]
-
-    replayed = benchmark.pedantic(read, rounds=1, iterations=1)
-    assert len(replayed) == len(extracted["results"])
 
 
 def test_classify_from_store_beats_reextract(extracted, store_corpus, store_meso):

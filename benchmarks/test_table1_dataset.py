@@ -3,8 +3,8 @@
 Regenerates the content of the paper's Table 1 (per-species pattern and
 ensemble counts) at BENCH scale and prints the paper-vs-measured table.
 The benchmark timing covers the table construction over the pre-extracted
-data; the corpus extraction itself is timed by the extraction-throughput
-benchmark.
+data; the corpus extraction itself is timed by the end-to-end benchmark
+(``benchmarks/e2e``).
 """
 
 from __future__ import annotations

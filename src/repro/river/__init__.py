@@ -1,11 +1,12 @@
-"""Dynamic River: a distributed stream-processing engine with scoped records."""
+"""Dynamic River: a distributed stream-processing engine with scoped records.
 
-from .acoustic import (
-    ExtractionOutput,
-    build_extraction_pipeline,
-    build_feature_pipeline,
-    run_extraction,
-)
+This package is the generic fabric — records, scopes, channels, segments,
+the simulated and OS-process deployments, and plumbing operators.  The
+paper's acoustic chain is not hand-wired here: ``AcousticPipeline.to_river()``
+(:func:`repro.pipeline.river_adapter.compile_to_river`) compiles the
+pipeline's own stages into operators for it.
+"""
+
 from .channels import ByteChannel, Channel, LinkStats, QueueChannel, SimulatedLinkChannel
 from .errors import (
     ChannelClosed,
@@ -68,7 +69,6 @@ __all__ = [
     "ChannelReceiveError",
     "ChannelSendError",
     "Deployment",
-    "ExtractionOutput",
     "FaultInjector",
     "FunctionOperator",
     "Host",
@@ -101,8 +101,6 @@ __all__ = [
     "StationScheduler",
     "Subtype",
     "bad_close_scope",
-    "build_extraction_pipeline",
-    "build_feature_pipeline",
     "close_scope",
     "count_bad_closes",
     "data_record",
@@ -114,7 +112,6 @@ __all__ = [
     "pack_record",
     "pack_record_views",
     "pack_stream",
-    "run_extraction",
     "scope_repair_summary",
     "split_into_segments",
     "transport_available",

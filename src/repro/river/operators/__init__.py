@@ -1,40 +1,14 @@
 """The Dynamic River operator library."""
 
-from .dsp_ops import (
-    CabsOperator,
-    Chunker,
-    CutoutOperator,
-    DftOperator,
-    Float2Cplx,
-    PaaOperator,
-    Reslice,
-    WelchWindowOperator,
-)
-from .io_ops import ClipSource, ReadOut, Rec2Vect, VectorSink, WavFileSource
-from .sax_ops import CutterOperator, SaxAnomalyOperator, TriggerOperator
-from .stream_ops import ScopeTypeFilter, StreamIn, StreamOut, SubtypeFilter, Tee, Throttle
+from .io_ops import ClipSource, ReadOut, WavFileSource
+from .stream_ops import ScopeTypeFilter, SubtypeFilter, Tee, Throttle
 
 __all__ = [
-    "CabsOperator",
-    "Chunker",
     "ClipSource",
-    "CutoutOperator",
-    "CutterOperator",
-    "DftOperator",
-    "Float2Cplx",
-    "PaaOperator",
     "ReadOut",
-    "Rec2Vect",
-    "Reslice",
-    "SaxAnomalyOperator",
     "ScopeTypeFilter",
-    "StreamIn",
-    "StreamOut",
     "SubtypeFilter",
     "Tee",
     "Throttle",
-    "TriggerOperator",
-    "VectorSink",
     "WavFileSource",
-    "WelchWindowOperator",
 ]

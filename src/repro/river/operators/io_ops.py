@@ -1,22 +1,23 @@
-"""Source and sink operators: data feeds, wav2rec, readout and rec2vect.
+"""Source and sink operators: data feeds, wav2rec and readout.
 
 These correspond to the acquisition and storage ends of the paper's
 Figure 5: a data feed reads clips from storage, ``wav2rec`` encapsulates
-acoustic data in pipeline records, ``readout`` archives records, and
-``rec2vect`` turns processed records into the float vectors (patterns) that
-MESO consumes.
+acoustic data in pipeline records and ``readout`` archives records.  The
+analysis operators between them (``saxanomaly`` … ``rec2vect``) are not
+hand-written here: :func:`repro.pipeline.river_adapter.compile_to_river`
+wraps the pipeline's own stages as operators.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ...dsp.wav import read_wav
 from ...synth.clips import AcousticClip
-from ..operator_base import Operator, SinkOperator, SourceOperator
+from ..operator_base import SinkOperator, SourceOperator
 from ..records import (
     Record,
     ScopeType,
@@ -28,7 +29,7 @@ from ..records import (
 )
 from ..serialization import pack_record_views
 
-__all__ = ["ClipSource", "WavFileSource", "ReadOut", "Rec2Vect", "VectorSink"]
+__all__ = ["ClipSource", "WavFileSource", "ReadOut"]
 
 
 class ClipSource(SourceOperator):
@@ -51,9 +52,12 @@ class ClipSource(SourceOperator):
         self.clips = list(clips)
         self.record_size = record_size
 
+    def _iter_clips(self) -> Iterable[AcousticClip]:
+        return self.clips
+
     def generate(self) -> Iterator[Record]:
         sequence = 0
-        for clip_index, clip in enumerate(self.clips):
+        for clip_index, clip in enumerate(self._iter_clips()):
             context = {
                 "sample_rate": int(clip.sample_rate),
                 "station_id": clip.station_id,
@@ -78,23 +82,23 @@ class ClipSource(SourceOperator):
         yield end_of_stream(sequence)
 
 
-class WavFileSource(SourceOperator):
-    """Like :class:`ClipSource` but reading clips from WAV files on disk."""
+class WavFileSource(ClipSource):
+    """Like :class:`ClipSource` but reading clips from WAV files on disk.
+
+    Files are read one at a time as the stream is consumed, so memory is
+    bounded by the largest file rather than the corpus; an unreadable file
+    raises only after the records of the files before it were yielded.
+    """
 
     def __init__(self, paths: Sequence[str | Path], record_size: int = 4096, name: str = "wav2rec") -> None:
-        super().__init__(name)
+        super().__init__((), record_size=record_size, name=name)
         self.paths = [Path(p) for p in paths]
-        self.record_size = record_size
 
-    def generate(self) -> Iterator[Record]:
-        clips = []
+    def _iter_clips(self) -> Iterable[AcousticClip]:
         for path in self.paths:
             wav = read_wav(path)
             samples = wav.samples if wav.samples.ndim == 1 else wav.samples[0]
-            clips.append(
-                AcousticClip(samples=samples, sample_rate=wav.sample_rate, station_id=path.stem)
-            )
-        yield from ClipSource(clips, record_size=self.record_size, name=self.name).generate()
+            yield AcousticClip(samples=samples, sample_rate=wav.sample_rate, station_id=path.stem)
 
 
 class ReadOut(SinkOperator):
@@ -122,75 +126,3 @@ class ReadOut(SinkOperator):
                 handle.writelines(views)
             self.bytes_written += sum(len(view) for view in views)
         return []
-
-
-class Rec2Vect(Operator):
-    """Merge consecutive spectrum records into fixed-length feature vectors.
-
-    Within each ensemble scope, every ``records_per_pattern`` consecutive
-    spectrum records are concatenated into one FEATURES record (a pattern).
-    Leftover records that cannot fill a complete pattern are dropped, matching
-    the pattern construction of the paper's experiments.
-    """
-
-    def __init__(self, records_per_pattern: int = 3, name: str = "rec2vect") -> None:
-        super().__init__(name)
-        if records_per_pattern < 1:
-            raise ValueError(f"records_per_pattern must be >= 1, got {records_per_pattern}")
-        self.records_per_pattern = records_per_pattern
-        self._buffer: list[np.ndarray] = []
-        self._pattern_index = 0
-
-    def _emit_patterns(self, record: Record) -> list[Record]:
-        outputs: list[Record] = []
-        while len(self._buffer) >= self.records_per_pattern:
-            chunk = self._buffer[: self.records_per_pattern]
-            self._buffer = self._buffer[self.records_per_pattern :]
-            features = np.concatenate(chunk)
-            outputs.append(
-                data_record(
-                    features,
-                    subtype=Subtype.FEATURES.value,
-                    scope=record.scope,
-                    scope_type=record.scope_type,
-                    sequence=self._pattern_index,
-                    context=dict(record.context),
-                )
-            )
-            self._pattern_index += 1
-        return outputs
-
-    def process(self, record: Record) -> list[Record]:
-        if record.is_data and record.subtype == Subtype.SPECTRUM.value:
-            self._buffer.append(np.asarray(record.payload, dtype=float).ravel())
-            return self._emit_patterns(record)
-        if record.is_close or record.is_end:
-            # Patterns never straddle an ensemble boundary.
-            self._buffer = []
-        return [record]
-
-    def reset(self) -> None:
-        super().reset()
-        self._buffer = []
-        self._pattern_index = 0
-
-
-class VectorSink(SinkOperator):
-    """Collect FEATURES records as plain numpy vectors (plus their context)."""
-
-    def __init__(self, name: str = "vectorsink") -> None:
-        super().__init__(name)
-        self.vectors: list[np.ndarray] = []
-        self.contexts: list[dict] = []
-
-    def process(self, record: Record) -> list[Record]:
-        self.collected.append(record)
-        if record.is_data and record.subtype == Subtype.FEATURES.value:
-            self.vectors.append(np.asarray(record.payload, dtype=float).ravel())
-            self.contexts.append(dict(record.context))
-        return []
-
-    def reset(self) -> None:
-        super().reset()
-        self.vectors = []
-        self.contexts = []

@@ -1,110 +1,18 @@
-"""Stream plumbing operators: streamin, streamout, tee, merge, filter, throttle.
+"""Stream plumbing operators: tee, filters and throttle.
 
-``streamout`` and ``streamin`` are what let pipeline segments span hosts:
-``streamout`` forwards records onto a channel (serialising them on the way)
-and ``streamin`` reads records off a channel, repairing scope structure when
-the upstream side disappears mid-scope by synthesising BadCloseScope
-records — the fault-resilience behaviour the paper calls out as Dynamic
-River's chief advantage.
+Moving records between segments (the paper's ``streamout`` / ``streamin``)
+is not an operator: :class:`~repro.river.pipeline.PipelineSegment` owns a
+segment's channel I/O and repairs scope structure with BadCloseScope
+records when its upstream disappears mid-scope.
 """
 
 from __future__ import annotations
 
 from ..channels import Channel
-from ..errors import ChannelClosed
-from ..operator_base import Operator, SourceOperator
-from ..records import Record, RecordType, end_of_stream
-from ..scopes import ScopeStack
+from ..operator_base import Operator
+from ..records import Record
 
-__all__ = ["StreamOut", "StreamIn", "Tee", "SubtypeFilter", "ScopeTypeFilter", "Throttle"]
-
-
-class StreamOut(Operator):
-    """Write every record to a channel while passing it through unchanged.
-
-    Acting as a pass-through makes it possible to splice a ``streamout`` into
-    the middle of a pipeline (e.g. to archive the raw stream while analysis
-    continues downstream), matching the ``readout`` + analysis layout of the
-    paper's Figure 5.
-    """
-
-    def __init__(self, channel: Channel, name: str = "streamout", forward: bool = True) -> None:
-        super().__init__(name)
-        self.channel = channel
-        self.forward = forward
-
-    def process(self, record: Record) -> list[Record]:
-        self.channel.put(record)
-        return [record] if self.forward else []
-
-    def flush(self) -> list[Record]:
-        # The enclosing segment emits END_OF_STREAM itself; mirror it on the
-        # side channel so remote readers also terminate.
-        self.channel.put(end_of_stream())
-        return []
-
-
-class StreamIn(SourceOperator):
-    """Read records from a channel, repairing scope structure on failure.
-
-    If the channel is closed (or a simulated link fails) while scopes are
-    still open, BadCloseScope records are generated to close them, followed
-    by an END_OF_STREAM marker, so downstream operators always observe a
-    well-formed stream.
-    """
-
-    def __init__(self, channel: Channel, name: str = "streamin") -> None:
-        super().__init__(name)
-        self.channel = channel
-        self.scope_stack = ScopeStack(strict=False)
-        self.repaired = False
-
-    def generate(self):
-        while True:
-            try:
-                record = self.channel.get()
-            except ChannelClosed:
-                for closing in self.scope_stack.closing_records("upstream segment terminated"):
-                    self.repaired = True
-                    yield closing
-                yield end_of_stream()
-                return
-            if record is None:
-                # Nothing buffered right now; in this synchronous engine that
-                # means the producer has nothing more to say.
-                for closing in self.scope_stack.closing_records("upstream went quiet"):
-                    self.repaired = True
-                    yield closing
-                yield end_of_stream()
-                return
-            self.scope_stack.observe(record)
-            yield record
-            if record.record_type is RecordType.END_OF_STREAM:
-                return
-
-    def poll(self) -> list[Record]:
-        """Non-blocking read of everything currently available on the channel.
-
-        Used by :class:`repro.river.placement.Deployment`, which interleaves
-        many segments; scope repair on closure behaves as in :meth:`generate`.
-        """
-        records: list[Record] = []
-        while True:
-            try:
-                record = self.channel.get()
-            except ChannelClosed:
-                closing = self.scope_stack.closing_records("upstream segment terminated")
-                if closing:
-                    self.repaired = True
-                records.extend(closing)
-                records.append(end_of_stream())
-                return records
-            if record is None:
-                return records
-            self.scope_stack.observe(record)
-            records.append(record)
-            if record.record_type is RecordType.END_OF_STREAM:
-                return records
+__all__ = ["Tee", "SubtypeFilter", "ScopeTypeFilter", "Throttle"]
 
 
 class Tee(Operator):

@@ -2,10 +2,10 @@
 
 A Dynamic River *pipeline* is a sequential set of operations composed between
 a data source and its final sink.  A *pipeline segment* is a sequence of
-operators producing a partial result; segments receive and emit records with
-the ``streamin`` / ``streamout`` operators, which lets a pipeline span
-networked hosts and be recomposed dynamically by moving segments among hosts
-(see :mod:`repro.river.placement`).
+operators producing a partial result; a :class:`PipelineSegment` receives
+and emits records over channels (the paper's ``streamin`` / ``streamout``),
+which lets a pipeline span networked hosts and be recomposed dynamically by
+moving segments among hosts (see :mod:`repro.river.placement`).
 """
 
 from __future__ import annotations
@@ -114,11 +114,14 @@ class SegmentState:
 class PipelineSegment:
     """A pipeline fragment connected to input and output channels.
 
-    The segment pulls records from ``input_channel`` (its ``streamin`` role),
-    pushes results to ``output_channel`` (its ``streamout`` role) and keeps a
-    :class:`ScopeStack` so that, if it is stopped or its upstream dies with
-    scopes open, it can emit BadCloseScope records and leave the downstream
-    stream well-formed.
+    The segment pulls records from ``input_channel``, pushes results to
+    ``output_channel`` and keeps a :class:`ScopeStack` so that, if it is
+    stopped or its upstream dies with scopes open, it can emit BadCloseScope
+    records and leave the downstream stream well-formed.  This is the only
+    place channel I/O and scope repair happen — the paper's ``streamin`` /
+    ``streamout`` operators are this class, not separate operators.  An
+    empty ``get()`` means "nothing yet" and is never treated as a failure;
+    only :class:`~repro.river.errors.ChannelClosed` triggers a repair.
     """
 
     name: str

@@ -4,9 +4,10 @@ A *data stream scope* is a sequence of records sharing contextual meaning
 (for example, produced from the same acoustic clip).  Scopes begin with an
 ``OpenScope`` record and end with a ``CloseScope`` (or ``BadCloseScope``)
 record, can be nested, and carry a ``scope_type``.  :class:`ScopeStack`
-tracks the current nesting and validates transitions; it is used by the
-``streamin`` operator to detect and repair streams whose upstream segment
-died with scopes still open, and by tests to assert stream integrity.
+tracks the current nesting and validates transitions; it is used by
+:class:`~repro.river.pipeline.PipelineSegment` to detect and repair streams
+whose upstream segment died with scopes still open, and by tests to assert
+stream integrity.
 """
 
 from __future__ import annotations
@@ -80,8 +81,9 @@ class ScopeStack:
     def closing_records(self, reason: str = "stream interrupted") -> list[Record]:
         """BadCloseScope records that close every open scope, innermost first.
 
-        This is what ``streamin`` emits when an upstream segment terminates
-        unexpectedly, so that downstream consumers always see balanced scopes.
+        This is what a :class:`~repro.river.pipeline.PipelineSegment` emits
+        when it or its upstream terminates unexpectedly, so that downstream
+        consumers always see balanced scopes.
         """
         records = []
         for frame in reversed(self.frames):

@@ -1,8 +1,8 @@
 """Record wire format.
 
-``streamout`` / ``streamin`` move records between pipeline segments that may
-live on different hosts, so records need a byte-level representation.  The
-format is deliberately simple and self-describing:
+Channels move records between pipeline segments that may live on different
+hosts, so records need a byte-level representation.  The format is
+deliberately simple and self-describing:
 
 ``magic (4s) | version (B) | header_len (I) | header JSON | payload bytes``
 

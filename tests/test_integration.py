@@ -8,23 +8,15 @@ and MESO classifies the species — including the failure-injection path.
 
 from __future__ import annotations
 
-from repro import FAST_EXTRACTION, MesoClassifier
-from repro.classify import PatternExtractor, vote_ensemble
-from repro.river import (
-    Deployment,
-    Host,
-    Pipeline,
-    PipelineSegment,
-    QueueChannel,
-    Subtype,
-    build_extraction_pipeline,
-    run_extraction,
-    validate_stream,
-)
-from repro.river.operators import ClipSource, VectorSink
-from repro.sensors import SensorDeployment, SensorStation, StationConfig, WirelessLink
-from repro.synth import ClipBuilder
+import numpy as np
 
+from repro import FAST_EXTRACTION, AcousticPipeline, MesoClassifier
+from repro.classify import PatternExtractor, vote_ensemble
+from repro.pipeline import collect_result
+from repro.river import Deployment, Host, split_into_segments, validate_stream
+from repro.river.operators import ClipSource
+from repro.sensors import SensorDeployment, SensorStation, StationConfig, WirelessLink
+from repro.synth import ClipBuilder, get_species
 
 
 class TestFullStack:
@@ -75,63 +67,59 @@ class TestFullStack:
             correct += voted == patterns[group[0]].label
         assert correct / max(len(test_groups), 1) >= 0.6
 
-    def test_river_pipeline_matches_direct_extraction_pattern_counts(self, rng, global_extraction):
-        """The record-oriented pipeline and the array API agree on the workload size."""
-        clip = ClipBuilder(sample_rate=16000, duration=12.0).build("TUTI", rng, songs_per_species=2)
-        direct = global_extraction.run(clip)
-        direct_patterns = []
-        pattern_extractor = PatternExtractor(config=FAST_EXTRACTION.features, sample_rate=16000)
-        for ensemble in direct.ensembles:
-            direct_patterns.extend(pattern_extractor.patterns_from_ensemble(ensemble))
-        piped = run_extraction([clip], FAST_EXTRACTION, use_paa=False)
-        # The two paths chunk the ensembles slightly differently (the pipeline
-        # processes record-sized blocks), so allow a tolerance band.
-        assert piped.patterns, "pipeline produced no patterns"
-        assert direct_patterns, "direct extraction produced no patterns"
-        ratio = len(piped.patterns) / len(direct_patterns)
-        assert 0.3 < ratio < 3.0
-
     def test_distributed_extraction_with_relocation(self, rng):
-        """Extraction split across three hosts survives a mid-run recomposition."""
+        """A mid-run recomposition is invisible in the result: the compiled
+        graph split across three hosts, with the features segment moved while
+        records are in flight, is bit-identical to batch ``run()``."""
         clips = [
             ClipBuilder(sample_rate=16000, duration=8.0).build(species, rng, songs_per_species=1)
             for species in ("NOCA", "RWBL")
         ]
-        full = build_extraction_pipeline(FAST_EXTRACTION, use_paa=True)
-        operators = full.operators
-        split_a, split_b = 3, 7
-        front = Pipeline(operators[:split_a], name="front")
-        middle = Pipeline(operators[split_a:split_b], name="middle")
-        back = Pipeline(operators[split_b:], name="back")
+        meso = MesoClassifier()
+        builder = AcousticPipeline().extract(FAST_EXTRACTION).features(use_paa=True).classify(meso)
+        pipe = builder.build()
+        for species in ("NOCA", "RWBL"):
+            for _ in range(3):
+                song = get_species(species).render(16000, rng)
+                for vector in pipe.patterns_for(song):
+                    meso.partial_fit(vector, species)
 
+        seg_extract, seg_features, seg_classify = split_into_segments(pipe.to_river())
         deployment = Deployment(batch_size=16)
         deployment.add_host(Host("field", speed=1000.0))
         deployment.add_host(Host("relay", speed=1000.0))
         deployment.add_host(Host("lab", speed=2000.0))
+        deployment.place(seg_extract, "field")
+        deployment.place(seg_features, "relay")
+        deployment.place(seg_classify, "lab")
 
-        source_channel = QueueChannel()
-        seg_front = PipelineSegment(name="front", pipeline=front, input_channel=source_channel)
-        seg_middle = PipelineSegment(name="middle", pipeline=middle, input_channel=seg_front.output_channel)
-        seg_back = PipelineSegment(name="back", pipeline=back, input_channel=seg_middle.output_channel)
-        deployment.place(seg_front, "field")
-        deployment.place(seg_middle, "relay")
-        deployment.place(seg_back, "lab")
+        for record in ClipSource(clips, record_size=1024).generate():
+            seg_extract.input_channel.put(record)
 
-        for record in ClipSource(clips, record_size=4096).generate():
-            source_channel.put(record)
-
-        # Run a little, then move the middle segment to the faster host.
+        # Run a little, then move the features segment to the faster host
+        # while it is mid-stream and extraction is still feeding it.
         for _ in range(5):
             deployment.step_all()
-        deployment.relocate("middle", "lab")
+        assert seg_features.records_processed and not seg_features.finished
+        assert not seg_extract.finished
+        deployment.relocate(seg_features.name, "lab")
         deployment.run()
 
-        outputs = list(seg_back.drain_output())
-        assert validate_stream(outputs) == []
-        sink = VectorSink()
-        for record in outputs:
-            sink._invoke(record)
-        features = [r for r in outputs if r.is_data and r.subtype == Subtype.FEATURES.value]
-        assert len(sink.vectors) == len(features)
-        assert deployment.placement["middle"] == "lab"
+        assert deployment.placement[seg_features.name] == "lab"
         assert deployment.finished
+        outputs = list(seg_classify.drain_output())
+        assert validate_stream(outputs) == []
+        river = collect_result(outputs)
+        batch = [pipe.run(clip) for clip in clips]
+        ensembles = [e for result in batch for e in result.ensembles]
+        patterns = [p for result in batch for p in result.patterns]
+        assert ensembles, "extraction found nothing to relocate around"
+        assert river.total_samples == sum(result.total_samples for result in batch)
+        assert river.labels == [label for result in batch for label in result.labels]
+        assert [(e.start, e.end) for e in river.ensembles] == [(e.start, e.end) for e in ensembles]
+        assert [len(p) for p in river.patterns] == [len(p) for p in patterns]
+        for ours, theirs in zip(river.ensembles, ensembles):
+            np.testing.assert_array_equal(ours.samples, theirs.samples)
+        for ours, theirs in zip(river.patterns, patterns):
+            for u, v in zip(ours, theirs):
+                np.testing.assert_array_equal(u, v)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import FAST_EXTRACTION
 from repro.dsp import read_wav, write_wav
 from repro.river import (
     Pipeline,
@@ -20,28 +19,13 @@ from repro.river import (
     validate_stream,
 )
 from repro.river.operators import (
-    CabsOperator,
-    Chunker,
     ClipSource,
-    CutoutOperator,
-    CutterOperator,
-    DftOperator,
-    Float2Cplx,
-    PaaOperator,
     ReadOut,
-    Rec2Vect,
-    Reslice,
-    SaxAnomalyOperator,
     ScopeTypeFilter,
-    StreamIn,
-    StreamOut,
     SubtypeFilter,
     Tee,
     Throttle,
-    TriggerOperator,
-    VectorSink,
     WavFileSource,
-    WelchWindowOperator,
 )
 from repro.synth import ClipBuilder
 
@@ -89,38 +73,38 @@ class TestClipSource:
         total = sum(r.payload_length() for r in records if r.is_data)
         assert total == read_wav(path).samples.size
 
+    def test_wav_file_source_streams_one_file_at_a_time(self, rng, tmp_path):
+        """Files are read lazily: the first clip is out before a later read fails."""
+        clip = ClipBuilder(sample_rate=8000, duration=1.0).build("BCCH", rng)
+        good = tmp_path / "good.wav"
+        write_wav(good, clip.samples, clip.sample_rate)
+        stream = WavFileSource([good, tmp_path / "missing.wav"], record_size=1024).generate()
+        yielded = []
+        with pytest.raises(OSError):
+            for record in stream:
+                yielded.append(record)
+        assert validate_stream(yielded + [end_of_stream()]) == []
+        assert yielded[0].is_open and yielded[-1].is_close
+        assert sum(r.payload_length() for r in yielded if r.is_data) == clip.samples.size
+
+    def test_wav_file_source_numbers_records_across_files(self, rng, tmp_path):
+        builder = ClipBuilder(sample_rate=8000, duration=1.0)
+        clips = [builder.build("NOCA", rng), builder.build("MODO", rng)]
+        paths = []
+        for index, clip in enumerate(clips):
+            paths.append(tmp_path / f"clip-{index}.wav")
+            write_wav(paths[-1], clip.samples, clip.sample_rate)
+        records = list(WavFileSource(paths, record_size=2048).generate())
+        assert validate_stream(records) == []
+        assert [r.sequence for r in records] == list(range(len(records)))
+        assert [r.context["clip_index"] for r in records if r.is_open] == [0, 1]
+
+    def test_wav_file_source_validates_record_size_at_construction(self, tmp_path):
+        with pytest.raises(ValueError, match="record_size"):
+            WavFileSource([tmp_path / "never-read.wav"], record_size=0)
+
 
 class TestStreamOps:
-    def test_streamout_copies_to_channel_and_forwards(self, audio_scope_records):
-        channel = QueueChannel()
-        operator = StreamOut(channel)
-        forwarded = []
-        for record in audio_scope_records:
-            forwarded.extend(operator.process(record))
-        assert len(forwarded) == len(audio_scope_records)
-        assert len(channel) == len(audio_scope_records)
-
-    def test_streamin_repairs_scopes_when_channel_goes_quiet(self, rng):
-        channel = QueueChannel()
-        channel.put(open_scope(0, ScopeType.CLIP.value))
-        channel.put(data_record(rng.normal(size=16), scope=1, scope_type=ScopeType.CLIP.value))
-        # The producer disappears without closing the scope.
-        reader = StreamIn(channel)
-        records = list(reader.generate())
-        assert reader.repaired
-        assert validate_stream(records) == []
-        assert any(r.is_bad_close for r in records)
-        assert records[-1].is_end
-
-    def test_streamin_passes_clean_stream_through(self, audio_scope_records):
-        channel = QueueChannel()
-        for record in audio_scope_records:
-            channel.put(record)
-        reader = StreamIn(channel)
-        records = list(reader.generate())
-        assert not reader.repaired
-        assert len(records) == len(audio_scope_records)
-
     def test_tee_duplicates_records(self, audio_scope_records):
         channel = QueueChannel()
         tee = Tee(channel)
@@ -168,110 +152,7 @@ class TestStreamOps:
         assert outputs[-1].is_end
 
 
-class TestDspOperators:
-    def test_chunker_reblocks_stream(self, rng):
-        chunker = Chunker(record_size=100)
-        outputs = []
-        outputs.extend(chunker.process(open_scope(0)))
-        outputs.extend(chunker.process(data_record(rng.normal(size=250), scope=1)))
-        outputs.extend(chunker.process(data_record(rng.normal(size=60), scope=1)))
-        data = [r for r in outputs if r.is_data]
-        assert len(data) == 3
-        assert all(r.payload_length() == 100 for r in data)
-
-    def test_reslice_inserts_overlap_records(self, rng):
-        reslice = Reslice()
-        first = data_record(rng.normal(size=64), scope=1, sequence=0)
-        second = data_record(rng.normal(size=64), scope=1, sequence=1)
-        outputs = reslice.process(first) + reslice.process(second)
-        assert len(outputs) == 3
-        bridge = outputs[1]
-        assert bridge.context.get("resliced") is True
-        np.testing.assert_allclose(bridge.payload[:32], first.payload[32:])
-        np.testing.assert_allclose(bridge.payload[32:], second.payload[:32])
-
-    def test_reslice_resets_at_scope_boundary(self, rng):
-        reslice = Reslice()
-        reslice.process(data_record(rng.normal(size=32), scope=1))
-        reslice.process(close_scope(0))
-        outputs = reslice.process(data_record(rng.normal(size=32), scope=1))
-        assert len(outputs) == 1  # no bridge across the boundary
-
-    def test_welch_window_tapers_edges(self, rng):
-        operator = WelchWindowOperator()
-        record = data_record(np.ones(128), scope=1)
-        (tapered,) = operator.process(record)
-        assert abs(tapered.payload[0]) < 1e-9
-        assert tapered.payload[64] == pytest.approx(1.0, abs=0.01)
-
-    def test_spectral_chain_produces_band_limited_magnitudes(self):
-        sample_rate = 16000
-        t = np.arange(512) / sample_rate
-        tone = np.sin(2 * np.pi * 3000.0 * t)
-        chain = [Float2Cplx(), DftOperator(), CabsOperator(),
-                 CutoutOperator(sample_rate=sample_rate, low_hz=1200.0, high_hz=6400.0)]
-        records = [data_record(tone, scope=1)]
-        for operator in chain:
-            next_records = []
-            for record in records:
-                next_records.extend(operator.process(record))
-            records = next_records
-        assert len(records) == 1
-        spectrum = records[0]
-        assert spectrum.subtype == Subtype.SPECTRUM.value
-        assert np.all(spectrum.payload >= 0)
-        # 3 kHz tone is inside the band, so the banded spectrum has a clear peak.
-        assert spectrum.payload.max() > 10 * np.median(spectrum.payload + 1e-12)
-
-    def test_paa_operator_reduces_spectrum_records(self, rng):
-        operator = PaaOperator(factor=10)
-        record = data_record(rng.normal(size=83) ** 2, subtype=Subtype.SPECTRUM.value, scope=1)
-        (reduced,) = operator.process(record)
-        assert reduced.payload_length() == 9
-        assert reduced.context["paa_factor"] == 10
-
-    def test_non_matching_records_pass_through(self, rng):
-        operator = DftOperator()
-        record = data_record(rng.normal(size=8), subtype=Subtype.AUDIO.value)
-        assert operator.process(record) == [record]
-
-
-class TestRec2VectAndSinks:
-    def test_rec2vect_merges_three_records(self, rng):
-        operator = Rec2Vect(records_per_pattern=3)
-        outputs = []
-        for i in range(7):
-            outputs.extend(
-                operator.process(
-                    data_record(rng.normal(size=10), subtype=Subtype.SPECTRUM.value, scope=2, sequence=i)
-                )
-            )
-        patterns = [r for r in outputs if r.subtype == Subtype.FEATURES.value]
-        assert len(patterns) == 2
-        assert all(p.payload_length() == 30 for p in patterns)
-
-    def test_rec2vect_does_not_straddle_scope_boundaries(self, rng):
-        operator = Rec2Vect(records_per_pattern=3)
-        outputs = []
-        for i in range(2):
-            outputs.extend(
-                operator.process(data_record(rng.normal(size=10), subtype=Subtype.SPECTRUM.value, scope=2))
-            )
-        outputs.extend(operator.process(close_scope(1, ScopeType.ENSEMBLE.value)))
-        for i in range(2):
-            outputs.extend(
-                operator.process(data_record(rng.normal(size=10), subtype=Subtype.SPECTRUM.value, scope=2))
-            )
-        patterns = [r for r in outputs if r.subtype == Subtype.FEATURES.value]
-        assert patterns == []  # neither scope accumulated three records
-
-    def test_vector_sink_collects_features(self, rng):
-        sink = VectorSink()
-        sink.process(data_record(rng.normal(size=5), subtype=Subtype.FEATURES.value, context={"k": 1}))
-        sink.process(data_record(rng.normal(size=5), subtype=Subtype.AUDIO.value))
-        assert len(sink.vectors) == 1
-        assert sink.contexts == [{"k": 1}]
-
+class TestReadOut:
     def test_readout_archives_to_disk(self, rng, tmp_path):
         path = tmp_path / "archive.bin"
         readout = ReadOut(path)
@@ -282,75 +163,9 @@ class TestRec2VectAndSinks:
         assert len(readout.collected) == 3
 
 
-class TestExtractionOperators:
-    def test_saxanomaly_emits_score_records(self, rng):
-        operator = SaxAnomalyOperator(FAST_EXTRACTION.anomaly, hop=16)
-        outputs = []
-        outputs.extend(operator.process(open_scope(0, ScopeType.CLIP.value)))
-        audio = data_record(rng.normal(size=4096), subtype=Subtype.AUDIO.value, scope=1,
-                            scope_type=ScopeType.CLIP.value)
-        outputs.extend(operator.process(audio))
-        assert len(outputs) == 3
-        assert outputs[1].subtype == Subtype.AUDIO.value
-        assert outputs[2].subtype == Subtype.ANOMALY_SCORE.value
-        assert outputs[2].payload_length() == 4096
-
-    def test_trigger_operator_transforms_scores(self, rng):
-        operator = TriggerOperator(FAST_EXTRACTION.trigger, settle=0)
-        score = data_record(0.1 + 0.01 * rng.standard_normal(4000),
-                            subtype=Subtype.ANOMALY_SCORE.value, scope=1)
-        outputs = operator.process(score)
-        assert len(outputs) == 2
-        trigger = outputs[1]
-        assert trigger.subtype == Subtype.TRIGGER.value
-        assert set(np.unique(trigger.payload)) <= {0, 1}
-
-    def test_cutter_operator_produces_ensemble_scopes(self, rng):
-        cutter = CutterOperator(min_duration=10)
-        outputs = []
-        outputs.extend(cutter.process(open_scope(0, ScopeType.CLIP.value)))
-        audio = rng.normal(size=300)
-        trigger = np.zeros(300, dtype=np.int8)
-        trigger[100:200] = 1
-        outputs.extend(cutter.process(data_record(audio, subtype=Subtype.AUDIO.value, scope=1,
-                                                  scope_type=ScopeType.CLIP.value)))
-        outputs.extend(cutter.process(data_record(trigger, subtype=Subtype.TRIGGER.value, scope=1,
-                                                  scope_type=ScopeType.CLIP.value)))
-        outputs.extend(cutter.process(close_scope(0, ScopeType.CLIP.value)))
-        outputs.extend(cutter.process(end_of_stream()))
-        assert validate_stream(outputs) == []
-        ensembles = [r for r in outputs if r.is_open and r.scope_type == ScopeType.ENSEMBLE.value]
-        assert len(ensembles) == 1
-        payloads = [r for r in outputs if r.is_data and r.scope_type == ScopeType.ENSEMBLE.value]
-        np.testing.assert_allclose(payloads[0].payload, audio[100:200])
-
-    def test_cutter_closes_ensemble_open_at_clip_end(self, rng):
-        cutter = CutterOperator(min_duration=5)
-        outputs = []
-        outputs.extend(cutter.process(open_scope(0, ScopeType.CLIP.value)))
-        audio = rng.normal(size=100)
-        trigger = np.ones(100, dtype=np.int8)
-        outputs.extend(cutter.process(data_record(audio, subtype=Subtype.AUDIO.value, scope=1)))
-        outputs.extend(cutter.process(data_record(trigger, subtype=Subtype.TRIGGER.value, scope=1)))
-        outputs.extend(cutter.process(close_scope(0, ScopeType.CLIP.value)))
-        assert validate_stream(outputs + [end_of_stream()]) == []
-        assert any(r.is_open and r.scope_type == ScopeType.ENSEMBLE.value for r in outputs)
-
-    def test_full_extraction_pipeline_on_clip(self, rng):
-        from repro.river import build_extraction_pipeline
-
-        clip = ClipBuilder(sample_rate=16000, duration=8.0).build("RWBL", rng, songs_per_species=2)
-        pipeline = build_extraction_pipeline(FAST_EXTRACTION, use_paa=True)
-        source = ClipSource([clip], record_size=4096)
-        outputs = pipeline.run_source(source)
-        assert validate_stream(outputs) == []
-        features = [r for r in outputs if r.is_data and r.subtype == Subtype.FEATURES.value]
-        assert features, "expected at least one pattern from a clip with two songs"
-        dims = {r.payload_length() for r in features}
-        assert len(dims) == 1  # fixed-length patterns
-
+class TestPipelineLookup:
     def test_pipeline_operator_lookup(self):
-        pipeline = Pipeline([Chunker(record_size=10), Reslice()], name="p")
-        assert pipeline.operator("reslice").name == "reslice"
+        pipeline = Pipeline([Throttle(limit=10), ReadOut()], name="p")
+        assert pipeline.operator("readout").name == "readout"
         with pytest.raises(KeyError):
             pipeline.operator("nonexistent")
