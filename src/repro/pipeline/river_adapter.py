@@ -3,21 +3,50 @@
 ``AcousticPipeline.to_river()`` lands here: every stage is wrapped in a thin
 record operator, so the *same* stage objects that power batch runs and
 ``extract_stream()`` also run inside distributed pipeline segments.  The
-wrappers only translate between records and events:
+wrappers only translate between records and events, and they do it through
+one codec — :func:`event_to_records` writes, :class:`ScopeDecoder` reads.
+
+**The ensemble-scope encoding.**  One ensemble travels as one
+``scope_ensemble`` scope, in one of two shapes:
+
+* *buffered* — what a terminal event encodes to::
+
+      OpenScope   {start, end, sample_rate[, ens_label][, n_patterns]}
+      AUDIO       the whole ensemble
+      FEATURES*   one record per pattern, in pattern order
+      LABEL?      {label, votes} — the classifier's verdict
+      CloseScope
+
+  ``ens_label`` is the ensemble's ground-truth label (absent when it has
+  none) and never the verdict, which only the LABEL record carries.
+  ``n_patterns`` is stamped once a feature stage ran; 0 marks a *short*
+  ensemble, too brief for a single pattern.
+
+* *fragmented* — streamed while the ensemble is still open
+  (``ExtractStage(emit="fragments")``)::
+
+      OpenScope   {start, sample_rate, fragmented: True}
+      FRAGMENT*   {start, offset} — contiguous audio slices, in order
+      FEATURES*   appended by a pumping feature operator as patterns complete
+      CloseScope  {[n_patterns: 0]}
+
+  The opener is long gone when a pumping operator learns that no pattern
+  completed, so here the ``n_patterns`` stamp rides on the close.
+
+A BadCloseScope (scope repair after an upstream truncation) voids the scope
+in either shape.  Both shapes decode to the same events, so fragment mode
+changes memory and latency, never output.
 
 * :class:`ExtractStageOperator` feeds clip-scoped audio records into the
   extract stage as :class:`~repro.pipeline.results.SignalChunk` events and
-  emits each completed ensemble as an ensemble scope
-  (``OpenScope`` / audio data / ``CloseScope``) — or, in fragment mode,
-  *streams* the scope while the ensemble is still open (OpenScope at the
-  moment the run proves long enough, FRAGMENT data records as audio
-  arrives, CloseScope when the trigger drops);
-* :class:`EnsembleStageOperator` buffers one ensemble scope at a time,
-  rebuilds the event it encodes, passes it through the wrapped stage
-  (features, classify or any plugin) and re-emits the enriched scope.
-  Fragmented scopes are not buffered when the wrapped stage consumes
-  fragments: the operator pumps them through, appending FEATURES records
-  to the open scope as each pattern completes.
+  encodes what comes out — whole ensembles, or fragment events record by
+  record while the run is still open;
+* :class:`EnsembleStageOperator` decodes one scope at a time, passes the
+  event through the wrapped stage (features, classify or any plugin) and
+  re-encodes the result.  When the wrapped stage consumes fragments, a
+  fragmented scope is *pumped* instead: its records pass straight through
+  while the stage sees them as fragment events, and each pattern the stage
+  completes is appended to the open scope.
 
 Per-stage **fan-out** (``to_river(fan_out=k)``) compiles k replicas of a
 per-ensemble stage behind a deterministic partition/merge pair::
@@ -31,7 +60,8 @@ so one station's ensembles always flow through the same operator instance)
 plus a monotonically increasing ordinal; every replica consumes exactly the
 scopes addressed to it and passes the rest through untouched; and
 :class:`EnsembleMergeOperator` strips the routing tags and re-emits the
-scopes in ordinal — i.e. corpus — order.  Because the replica chain is a
+scopes in ordinal — i.e. corpus — order.  Both route whole scopes on their
+OpenScope context and never decode one.  Because the replica chain is a
 plain linear operator sequence, it can be cut into
 :class:`~repro.river.pipeline.PipelineSegment`\\ s (one replica per host)
 and scheduled by :class:`~repro.river.placement.StationScheduler` like any
@@ -40,7 +70,7 @@ other Dynamic River pipeline.
 Because the streaming engine is chunk-invariant, record boundaries do not
 affect the output: running a clip through the compiled river pipeline yields
 exactly the ensembles, patterns and labels of a batch ``run()`` over the
-same clip — :func:`collect_result` parses them back into
+same clip — :func:`collect_result` decodes them back into
 :class:`~repro.pipeline.results.PipelineResult` form for convenience.
 """
 
@@ -67,6 +97,7 @@ from ..river.records import (
 )
 from ..synth.clips import AcousticClip
 from .results import (
+    ENSEMBLE_EVENTS,
     ClassifiedEvent,
     EnsembleEvent,
     EnsembleFragmentEvent,
@@ -76,7 +107,6 @@ from .results import (
     SignalChunk,
     ensemble_from_fragments,
 )
-from ..core.cutter import Ensemble
 from .stages import ExtractStage, FeatureStage, Stage
 
 __all__ = [
@@ -84,11 +114,12 @@ __all__ = [
     "EnsembleStageOperator",
     "EnsemblePartitionOperator",
     "EnsembleMergeOperator",
+    "ScopeDecoder",
     "DEPLOY_BACKENDS",
     "compile_to_river",
     "collect_result",
-    "decode_ensemble_scope",
     "deploy_clips_via_river",
+    "event_to_records",
     "replica_groups",
     "run_clips_via_river",
 ]
@@ -103,126 +134,168 @@ DEPLOY_BACKENDS = ("simulated", "process")
 ROUTING_REPLICA = "fanout_replica"
 ROUTING_ORDINAL = "fanout_ordinal"
 
+_ENSEMBLE = ScopeType.ENSEMBLE.value
 
-def _ensemble_context(event: PipelineEvent, sample_rate: int) -> dict:
+
+def event_to_records(event: PipelineEvent, depth: int, index: int) -> list[Record]:
+    """Encode one ensemble-lineage event — the codec's only writer.
+
+    A terminal event becomes a whole buffered scope numbered ``index``; a
+    fragment event becomes the one record it stands for (``index`` numbers
+    the scope on open / close, the slice on data); a partial per-pattern
+    event becomes FEATURES records numbered from ``index``.
+    """
+    if isinstance(event, EnsembleFragmentEvent):
+        if event.kind == "open":
+            context = {
+                "start": int(event.start),
+                "sample_rate": int(event.sample_rate),
+                "fragmented": True,
+            }
+            return [open_scope(depth, _ENSEMBLE, index, context)]
+        if event.kind == "data":
+            context = {"start": int(event.start), "offset": int(event.offset)}
+            return [fragment_record(event.samples, depth + 1, index, context)]
+        return [close_scope(depth, _ENSEMBLE, index)]
     ensemble = event.ensemble
+    if ensemble is None:
+        return [
+            data_record(pattern, Subtype.FEATURES.value, depth + 1, _ENSEMBLE, index + offset)
+            for offset, pattern in enumerate(event.patterns)
+        ]
     context = {
         "start": int(ensemble.start),
         "end": int(ensemble.end),
-        "sample_rate": int(sample_rate),
+        "sample_rate": int(ensemble.sample_rate),
     }
-    if isinstance(event, ClassifiedEvent):
-        context["label"] = event.label
-    elif ensemble.label is not None:
-        context["label"] = ensemble.label
-    return context
-
-
-def decode_ensemble_scope(
-    records: Sequence[Record], default_rate: int | None = None
-) -> tuple[Ensemble, tuple[np.ndarray, ...], object] | None:
-    """Decode one buffered ensemble scope back into its parts.
-
-    ``records`` is the scope's OpenScope followed by its inner records (the
-    CloseScope may be present or not).  Returns ``(ensemble, patterns,
-    label)`` — the single decoder behind both the stage operators and
-    :func:`collect_result`, so the record encoding produced by
-    :func:`event_to_records` has exactly one reader to keep in sync.
-    Returns None when the scope carries no audio.
-
-    Both scope shapes decode identically: the buffered form (one AUDIO
-    record with the whole ensemble) and the fragmented form (several
-    FRAGMENT records streamed while the ensemble was open, concatenated
-    here in arrival order).
-    """
-    opener = records[0]
-    audio: np.ndarray | None = None
-    fragments: list[np.ndarray] = []
-    patterns: list[np.ndarray] = []
-    label_record: Record | None = None
-    for record in records[1:]:
-        if not record.is_data:
-            continue
-        if record.subtype == Subtype.AUDIO.value:
-            audio = np.asarray(record.payload, dtype=float).ravel()
-        elif record.subtype == Subtype.FRAGMENT.value:
-            fragments.append(np.asarray(record.payload, dtype=float).ravel())
-        elif record.subtype == Subtype.FEATURES.value:
-            patterns.append(np.asarray(record.payload, dtype=float).ravel())
-        elif record.subtype == Subtype.LABEL.value:
-            label_record = record
-    if audio is not None and not fragments:
-        fragments = [audio]
-    if not fragments:
-        return None
-    context = opener.context
-    if label_record is not None:
-        label = label_record.context.get("label")
-    else:
-        label = context.get("label")
-    rate = int(context.get("sample_rate", default_rate or 22050))
-    ensemble = ensemble_from_fragments(
-        fragments,
-        int(context.get("start", 0)),
-        context.get("end"),
-        rate,
-        label=label,
-    )
-    return ensemble, tuple(patterns), label
-
-
-def event_to_records(
-    event: PipelineEvent, depth: int, index: int, sample_rate: int
-) -> list[Record]:
-    """Encode one ensemble-lineage event as a well-formed ensemble scope."""
-    ensemble = event.ensemble
-    context = _ensemble_context(event, sample_rate)
+    if ensemble.label is not None:
+        context["ens_label"] = ensemble.label
     if isinstance(event, (FeaturesEvent, ClassifiedEvent)):
-        # Lets result collectors count short ensembles (a feature stage ran
-        # but the run was too brief for a single pattern).
         context["n_patterns"] = len(event.patterns)
+    inner = depth + 1
     records = [
-        open_scope(
-            scope=depth,
-            scope_type=ScopeType.ENSEMBLE.value,
-            sequence=index,
-            context=dict(context),
-        ),
-        data_record(
-            ensemble.samples,
-            subtype=Subtype.AUDIO.value,
-            scope=depth + 1,
-            scope_type=ScopeType.ENSEMBLE.value,
-            sequence=index,
-            context=dict(context),
-        ),
+        open_scope(depth, _ENSEMBLE, index, dict(context)),
+        data_record(ensemble.samples, Subtype.AUDIO.value, inner, _ENSEMBLE, index, dict(context)),
     ]
-    for pattern_index, pattern in enumerate(event.patterns):
-        records.append(
-            data_record(
-                pattern,
-                subtype=Subtype.FEATURES.value,
-                scope=depth + 1,
-                scope_type=ScopeType.ENSEMBLE.value,
-                sequence=pattern_index,
-                context=dict(context),
-            )
-        )
-    if isinstance(event, ClassifiedEvent):
-        records.append(
-            data_record(
-                np.zeros(0),
-                subtype=Subtype.LABEL.value,
-                scope=depth + 1,
-                scope_type=ScopeType.ENSEMBLE.value,
-                sequence=index,
-                context={**context, "votes": dict(event.votes)},
-            )
-        )
-    records.append(
-        close_scope(scope=depth, scope_type=ScopeType.ENSEMBLE.value, sequence=index)
+    records.extend(
+        data_record(pattern, Subtype.FEATURES.value, inner, _ENSEMBLE, sequence, dict(context))
+        for sequence, pattern in enumerate(event.patterns)
     )
+    if isinstance(event, ClassifiedEvent):
+        verdict = {**context, "label": event.label, "votes": dict(event.votes)}
+        records.append(
+            data_record(np.zeros(0), Subtype.LABEL.value, inner, _ENSEMBLE, index, verdict)
+        )
+    records.append(close_scope(depth, _ENSEMBLE, index))
     return records
+
+
+class ScopeDecoder:
+    """Decode ensemble scopes back into events — the codec's only reader.
+
+    :meth:`feed` takes the record stream one record at a time.  Records
+    outside an ensemble scope decode to nothing; a scope yields its one
+    terminal event (:class:`ClassifiedEvent` / :class:`FeaturesEvent` /
+    :class:`EnsembleEvent`) at its CloseScope, whichever shape it travelled
+    in; a bad-closed scope yields nothing.  With ``stream=True`` — for
+    callers wrapping something that consumes fragments — a *fragmented*
+    scope is instead decoded while still open, into the open / data / close
+    fragment events and partial per-pattern events an in-process fragment
+    pipeline would have produced (an empty partial before the close stands
+    for the ``n_patterns`` stamp: a feature stage ran).
+    """
+
+    def __init__(self, stream: bool = False, default_rate: int | None = None) -> None:
+        self.stream = stream
+        #: Rate of scopes whose opener names none (e.g. the enclosing clip's).
+        self.default_rate = default_rate
+        #: Sample rate of the scope opened last.
+        self.rate = 0
+        self._opener: dict | None = None
+
+    @property
+    def streaming(self) -> bool:
+        """Inside a fragmented scope that is being decoded while open."""
+        return self._opener is not None and self._streaming
+
+    def reset(self) -> None:
+        self._opener = None
+
+    def feed(self, record: Record) -> list[PipelineEvent]:
+        if record.is_data:
+            return self._data(record) if self._opener is not None else []
+        if record.scope_type != _ENSEMBLE:
+            return []
+        if record.is_open:
+            self._opener = opener = record.context
+            self._start = int(opener.get("start", 0))
+            self.rate = int(opener.get("sample_rate", self.default_rate or 22050))
+            self._streaming = self.stream and bool(opener.get("fragmented"))
+            self._samples = 0
+            self._parts: list[np.ndarray] = []
+            self._patterns: list[np.ndarray] = []
+            self._verdict: dict | None = None
+            if self._streaming:
+                return [EnsembleFragmentEvent("open", self._start, self.rate)]
+        elif record.is_close and self._opener is not None:
+            opener, self._opener = self._opener, None
+            if not record.is_bad_close:
+                return self._close(opener, record.context)
+        return []
+
+    def _data(self, record: Record) -> list[PipelineEvent]:
+        subtype = record.subtype
+        if subtype == Subtype.LABEL.value:
+            self._verdict = record.context
+            return []
+        payload = np.asarray(record.payload, dtype=float).ravel()
+        if subtype == Subtype.FEATURES.value:
+            if self._streaming:
+                return [FeaturesEvent(None, (payload,))]
+            self._patterns.append(payload)
+        elif subtype == Subtype.AUDIO.value or subtype == Subtype.FRAGMENT.value:
+            if not self._streaming:
+                self._parts.append(payload)
+                return []
+            # Slices tile the run contiguously, so arrival order is offset order.
+            offset = int(record.context.get("offset", self._start + self._samples))
+            self._samples += payload.size
+            return [
+                EnsembleFragmentEvent(
+                    "data", self._start, self.rate, samples=payload, offset=offset
+                )
+            ]
+        return []
+
+    def _close(self, opener: dict, close: dict) -> list[PipelineEvent]:
+        # A feature stage stamps how many patterns it built: on the opener of
+        # a buffered scope, on the close of a pumped one.
+        stamped = opener.get("n_patterns", close.get("n_patterns"))
+        end = opener.get("end")
+        if self._streaming:
+            events: list[PipelineEvent] = []
+            if stamped is not None:
+                events.append(FeaturesEvent(None, ()))
+            if end is None:
+                end = self._start + max(self._samples, 1)
+            events.append(
+                EnsembleFragmentEvent("close", self._start, self.rate, end=int(end))
+            )
+            return events
+        if not self._parts:
+            return []
+        ensemble = ensemble_from_fragments(
+            self._parts, self._start, end, self.rate, label=opener.get("ens_label")
+        )
+        patterns = tuple(self._patterns)
+        if self._verdict is not None:
+            votes = dict(self._verdict.get("votes") or {})
+            return [ClassifiedEvent(ensemble, patterns, self._verdict.get("label"), votes)]
+        if patterns or stamped is not None:
+            # Stamped with no patterns: a feature stage ran and the run was
+            # too short — an empty FeaturesEvent keeps the short count alive.
+            return [FeaturesEvent(ensemble, patterns)]
+        return [EnsembleEvent(ensemble)]
 
 
 class ExtractStageOperator(Operator):
@@ -230,15 +303,9 @@ class ExtractStageOperator(Operator):
 
     The output stream contains ensembles only (like the classic ``cutter``
     operator): an ensemble scope per completed ensemble, with the clip's
-    scope records forwarded around them.
-
-    With ``ExtractStage(emit="fragments")`` the ensemble scopes are
-    *streamed* instead of buffered: the OpenScope goes out the moment a
-    trigger-high run proves long enough (tagged ``fragmented`` in its
-    context), each audio slice follows as a FRAGMENT data record while the
-    run is still open, and the CloseScope goes out when the trigger drops.
-    Downstream operators and collectors decode both scope shapes
-    identically, so fragment mode changes memory and latency, never output.
+    scope records forwarded around them — buffered scopes, or with
+    ``ExtractStage(emit="fragments")`` fragmented ones streamed while the
+    run is still open (see the module docstring for both shapes).
     """
 
     def __init__(self, stage: ExtractStage, name: str = "extract-stage") -> None:
@@ -253,44 +320,21 @@ class ExtractStageOperator(Operator):
     def _emit(self, events: list[PipelineEvent]) -> list[Record]:
         records: list[Record] = []
         for event in events:
-            if isinstance(event, EnsembleFragmentEvent):
-                records.extend(self._fragment_records(event))
-            elif isinstance(event, EnsembleEvent):
-                records.extend(
-                    event_to_records(event, self._depth, self._index, self.stage.sample_rate)
-                )
-                self._index += 1
+            if not isinstance(event, (EnsembleFragmentEvent, EnsembleEvent)):
+                continue
+            kind = getattr(event, "kind", None)
+            if kind == "data":
+                index = self._frag_sequence
+                self._frag_sequence += 1
+            else:
+                index = self._index
+                if kind == "open":
+                    self._frag_sequence = 0
+                else:
+                    # A whole ensemble or a fragment close ends scope `index`.
+                    self._index += 1
+            records.extend(event_to_records(event, self._depth, index))
         return records
-
-    def _fragment_records(self, event: EnsembleFragmentEvent) -> list[Record]:
-        if event.kind == "open":
-            self._frag_sequence = 0
-            return [
-                open_scope(
-                    scope=self._depth,
-                    scope_type=ScopeType.ENSEMBLE.value,
-                    sequence=self._index,
-                    context={
-                        "start": int(event.start),
-                        "sample_rate": int(self.stage.sample_rate),
-                        "fragmented": True,
-                    },
-                )
-            ]
-        if event.kind == "data":
-            record = fragment_record(
-                event.samples,
-                scope=self._depth + 1,
-                sequence=self._frag_sequence,
-                context={"start": int(event.start), "offset": int(event.offset)},
-            )
-            self._frag_sequence += 1
-            return [record]
-        record = close_scope(
-            scope=self._depth, scope_type=ScopeType.ENSEMBLE.value, sequence=self._index
-        )
-        self._index += 1
-        return [record]
 
     def _flush_stage(self) -> list[Record]:
         # Flush unconditionally: a trailing open ensemble must be emitted
@@ -349,14 +393,13 @@ class EnsembleStageOperator(Operator):
     other record — including sibling replicas' scopes — untouched, so a
     chain of replicas behaves like k parallel operators in a linear stream.
 
-    Scopes tagged ``fragmented`` by an upstream fragment-mode extract
-    operator are not buffered when the wrapped stage consumes fragments
-    (:attr:`~repro.pipeline.stages.Stage.consumes_fragments`): the operator
-    *pumps* instead — the OpenScope and every FRAGMENT record pass straight
-    through while the stage sees the equivalent fragment events, and each
-    pattern the stage completes is appended to the open scope as a FEATURES
-    record the moment it exists.  Stages that need the whole ensemble
-    (classification voting) keep the buffered path.
+    A scope is consumed whole — decoded at its close, the stage's output
+    re-encoded in its place — unless it is fragmented and the wrapped stage
+    consumes fragments (:attr:`~repro.pipeline.stages.Stage.consumes_fragments`):
+    then the operator *pumps*, forwarding every record of the open scope and
+    appending each pattern the stage completes from a slice the moment it
+    exists.  Stages that need the whole ensemble (classification voting)
+    keep the buffered path.
     """
 
     def __init__(
@@ -372,164 +415,85 @@ class EnsembleStageOperator(Operator):
         #: Fan-out group label (the fanned stage's name) — schedulers use it
         #: to keep sibling replicas on distinct hosts; None outside fan-out.
         self.fanout_group = group
-        self._buffer: list[Record] | None = None
-        self._sample_rate: int | None = None
+        self._decoder = ScopeDecoder(stream=getattr(stage, "consumes_fragments", False))
         self._started = False
-        #: Live state of a fragmented scope being pumped (None outside one).
-        self._pump: dict | None = None
-
-    def _decode(
-        self, records: list[Record], close_record: Record | None = None
-    ) -> PipelineEvent | None:
-        """Rebuild the event encoded by one buffered ensemble scope."""
-        decoded = decode_ensemble_scope(records, default_rate=self._sample_rate)
-        if decoded is None:
-            return None
-        ensemble, patterns, _ = decoded
-        if patterns:
-            return FeaturesEvent(ensemble=ensemble, patterns=patterns)
-        stamped = records[0].context.get("n_patterns")
-        if stamped is None and close_record is not None:
-            stamped = close_record.context.get("n_patterns")
-        if stamped is not None:
-            # A feature stage already ran and built zero patterns (the run
-            # was too short): keep that knowledge as an empty FeaturesEvent
-            # so the short-ensemble count survives re-encoding downstream.
-            return FeaturesEvent(ensemble=ensemble, patterns=())
-        return EnsembleEvent(ensemble=ensemble)
+        #: Opener of the scope being consumed (None between scopes), whether
+        #: that scope is pumped, and how many patterns were appended to it.
+        self._opener: Record | None = None
+        self._pumping = False
+        self._appended = 0
 
     def _encode(self, events: list[PipelineEvent], depth: int, index: int) -> list[Record]:
         records: list[Record] = []
         for event in events:
-            if not isinstance(event, (EnsembleEvent, FeaturesEvent, ClassifiedEvent)):
-                continue
-            if event.ensemble is None:
-                # A partial per-pattern event: only meaningful while pumping
-                # a fragmented scope, never as a standalone scope.
-                continue
-            rate = event.ensemble.sample_rate
-            records.extend(event_to_records(event, depth, index, rate))
+            # Only whole ensembles become scopes; markers and partial
+            # per-pattern events mean something only while pumping.
+            if isinstance(event, ENSEMBLE_EVENTS) and event.ensemble is not None:
+                records.extend(event_to_records(event, depth, index))
         return records
 
-    # -- fragment pumping -----------------------------------------------------
-
-    def _pump_open(self, record: Record) -> list[Record]:
-        context = record.context
-        rate = int(context.get("sample_rate", self._sample_rate or 22050))
-        if not self._started:
-            self._sample_rate = rate
-            self.stage.start(rate)
-            self._started = True
-        start = int(context.get("start", 0))
-        self._pump = {"depth": record.scope, "start": start, "rate": rate, "samples": 0, "features": 0}
-        # The stage only sees markers here; its forwarded events are not
-        # re-encoded (the original records pass through instead).
-        self.stage.process(
-            EnsembleFragmentEvent(kind="open", start=start, sample_rate=rate)
-        )
-        return [record]
-
-    def _pump_record(self, record: Record) -> list[Record]:
-        pump = self._pump
-        assert pump is not None
-        if record.is_close and record.scope_type == ScopeType.ENSEMBLE.value:
-            self._pump = None
-            end = pump["start"] + pump["samples"]
-            close_event = EnsembleFragmentEvent(
-                kind="close",
-                start=pump["start"],
-                sample_rate=pump["rate"],
-                end=max(end, pump["start"] + 1),
-            )
-            # Close the stage's session; terminal events are dropped — their
-            # patterns already streamed out as FEATURES records.
-            self.stage.process(close_event)
-            if not record.is_bad_close and pump["features"] == 0:
-                # Too short for a single pattern: stamp the close so result
-                # collectors can count it (the opener is long gone).
-                record.context = {**record.context, "n_patterns": 0}
-            return [record]
-        if record.is_data and record.subtype == Subtype.FRAGMENT.value:
-            samples = np.asarray(record.payload, dtype=float).ravel()
-            offset = pump["start"] + pump["samples"]
-            pump["samples"] += samples.size
-            outputs = [record]
-            events = self.stage.process(
-                EnsembleFragmentEvent(
-                    kind="data",
-                    start=pump["start"],
-                    sample_rate=pump["rate"],
-                    samples=samples,
-                    offset=offset,
-                )
-            )
-            for event in events:
-                if not isinstance(event, FeaturesEvent):
-                    continue
-                for pattern in event.patterns:
-                    outputs.append(
-                        data_record(
-                            pattern,
-                            subtype=Subtype.FEATURES.value,
-                            scope=pump["depth"] + 1,
-                            scope_type=ScopeType.ENSEMBLE.value,
-                            sequence=pump["features"],
-                            context={"start": pump["start"], "sample_rate": pump["rate"]},
-                        )
-                    )
-                    pump["features"] += 1
-            return outputs
-        return [record]
+    def _start_stage(self, rate: int) -> None:
+        self._decoder.default_rate = rate
+        self.stage.start(rate)
+        self._started = True
 
     def process(self, record: Record) -> list[Record]:
-        if self._pump is not None:
-            return self._pump_record(record)
-        if self._buffer is not None:
-            if record.is_close and record.scope_type == ScopeType.ENSEMBLE.value:
-                buffered = self._buffer
-                self._buffer = None
-                if record.is_bad_close:
-                    # The scope never reached its true close; nothing was
-                    # forwarded for it, so nothing needs repairing downstream.
-                    return []
-                event = self._decode(buffered, close_record=record)
-                if event is None:
-                    return []
-                if not self._started:
-                    # Bare uplink streams carry no clip OpenScope to start
-                    # the stage from; the ensemble's own rate serves.
-                    self._sample_rate = int(event.ensemble.sample_rate)
-                    self.stage.start(self._sample_rate)
-                    self._started = True
-                outputs = self.stage.process(event)
-                encoded = self._encode(outputs, buffered[0].scope, buffered[0].sequence)
-                return self._preserve_routing(buffered[0], encoded)
-            self._buffer.append(record)
-            return []
-        if record.is_open and record.scope_type == ScopeType.ENSEMBLE.value:
-            if (
+        if self._opener is None:
+            if record.is_open and record.scope_type == ScopeType.CLIP.value:
+                self.stage.reset()
+                rate = record.context.get("sample_rate")
+                if rate is not None:
+                    self._start_stage(int(rate))
+                return [record]
+            if not (record.is_open and record.scope_type == _ENSEMBLE) or (
                 self.replica is not None
                 and record.context.get(ROUTING_REPLICA) != self.replica
             ):
-                # Addressed to a sibling replica (or already transformed by
-                # one): pass through; its inner records follow while our
-                # buffer stays empty, so they pass through too.
+                # Outside every ensemble scope, or inside one addressed to a
+                # sibling replica (or already transformed by one): its inner
+                # records follow while no scope is ours, so they pass too.
                 return [record]
-            if record.context.get("fragmented") and getattr(
-                self.stage, "consumes_fragments", False
-            ):
-                return self._pump_open(record)
-            self._buffer = [record]
-            return []
-        if record.is_open and record.scope_type == ScopeType.CLIP.value:
-            self.stage.reset()
-            rate = record.context.get("sample_rate")
-            if rate is not None:
-                self._sample_rate = int(rate)
-                self.stage.start(self._sample_rate)
-                self._started = True
-            return [record]
-        return [record]
+            self._opener = record
+            self._appended = 0
+        opener = self._opener
+        events = self._decoder.feed(record)
+        if record is opener:
+            self._pumping = self._decoder.streaming
+        elif record.is_close and record.scope_type == _ENSEMBLE:
+            self._opener = None
+        if events and not self._started:
+            # Bare uplink streams carry no clip OpenScope to start the stage
+            # from; the ensemble's own rate serves.
+            self._start_stage(self._decoder.rate)
+        if self._pumping:
+            return self._pump(record, events, opener.scope)
+        outputs: list[Record] = []
+        for event in events:  # the scope's one terminal event, at its clean close
+            made = self.stage.process(event)
+            outputs.extend(self._encode(made, opener.scope, opener.sequence))
+        return self._preserve_routing(opener, outputs) if outputs else outputs
+
+    def _pump(self, record: Record, events: list[PipelineEvent], depth: int) -> list[Record]:
+        """Forward one record of a pumped scope, show the stage the events
+        it decodes to and append the patterns the stage made of a slice."""
+        outputs = [record]
+        for event in events:
+            # Markers and terminal events the stage forwards are dropped: the
+            # original records already went out.
+            made = self.stage.process(event)
+            if not isinstance(event, EnsembleFragmentEvent):
+                continue
+            if event.kind == "data":
+                for partial in made:
+                    if isinstance(partial, FeaturesEvent) and partial.partial:
+                        appended = event_to_records(partial, depth, self._appended)
+                        self._appended += len(appended)
+                        outputs.extend(appended)
+            elif event.kind == "close" and not self._appended:
+                # Too short for a single pattern: stamp the close (see the
+                # module docstring) so the short count survives downstream.
+                record.context = {**record.context, "n_patterns": 0}
+        return outputs
 
     @staticmethod
     def _preserve_routing(opener: Record, encoded: list[Record]) -> list[Record]:
@@ -542,20 +506,22 @@ class EnsembleStageOperator(Operator):
         }
         if routing:
             for record in encoded:
-                if record.is_open and record.scope_type == ScopeType.ENSEMBLE.value:
+                if record.is_open and record.scope_type == _ENSEMBLE:
                     record.context = {**record.context, **routing}
         return encoded
 
+    def _drop_scope(self) -> None:
+        self._opener = None
+        self._decoder.reset()
+
     def flush(self) -> list[Record]:
-        self._buffer = None
-        self._pump = None
+        self._drop_scope()
         return self._encode(self.stage.flush(), depth=0, index=0)
 
     def reset(self) -> None:
         super().reset()
         self.stage.reset()
-        self._buffer = None
-        self._pump = None
+        self._drop_scope()
         self._started = False
 
 
@@ -889,59 +855,27 @@ def compile_to_river(
 
 
 def collect_result(records: Sequence[Record], sample_rate: int | None = None) -> PipelineResult:
-    """Parse a compiled pipeline's output records back into a result.
+    """Decode a compiled pipeline's output records back into a result.
 
-    Ensemble scopes become index-aligned (ensemble, patterns, label) entries;
-    ``total_samples`` is taken from the clip CloseScope annotation the
-    extract operator leaves behind (0 when absent, e.g. on repaired streams).
+    Ensemble scopes become index-aligned (ensemble, patterns, label) rows —
+    a truncated (bad-closed) scope never does; ``total_samples`` is taken
+    from the clip CloseScope annotation the extract operator leaves behind
+    (0 when absent, e.g. on repaired streams).
     """
-    result = PipelineResult(sample_rate=int(sample_rate or 0), total_samples=0)
-    buffer: list[Record] | None = None
+    rate = int(sample_rate or 0)
+    total_samples = 0
+    decoder = ScopeDecoder(default_rate=rate or None)
+    events: list[PipelineEvent] = []
     for record in records:
-        if record.is_open and record.scope_type == ScopeType.CLIP.value:
-            rate = record.context.get("sample_rate")
-            if rate is not None and not result.sample_rate:
-                result.sample_rate = int(rate)
+        if record.scope_type == ScopeType.CLIP.value and not record.is_data:
+            if record.is_open and not rate:
+                rate = int(record.context.get("sample_rate") or 0)
+                decoder.default_rate = rate or None
+            elif record.is_close:
+                total_samples += int(record.context.get("total_samples", 0))
             continue
-        if record.is_close and record.scope_type == ScopeType.CLIP.value:
-            result.total_samples += int(record.context.get("total_samples", 0))
-            continue
-        if record.is_open and record.scope_type == ScopeType.ENSEMBLE.value:
-            buffer = [record]
-            continue
-        if buffer is None:
-            continue
-        if record.is_close and record.scope_type == ScopeType.ENSEMBLE.value:
-            opener = buffer[0]
-            scope_records, buffer = buffer, None
-            if record.is_bad_close:
-                # The scope was truncated upstream (worker death, severed
-                # link): a pumped fragment scope may have streamed partial
-                # audio before the repair, but a truncated ensemble must
-                # never masquerade as a real one — buffered mode drops such
-                # scopes before they are ever forwarded.
-                continue
-            decoded = decode_ensemble_scope(
-                scope_records, default_rate=result.sample_rate or None
-            )
-            if decoded is None:
-                continue
-            ensemble, patterns, label = decoded
-            if not patterns:
-                # A feature stage stamps how many patterns it built (on the
-                # opener for buffered scopes, on the close for pumped ones);
-                # zero means the run was too short for a single pattern.
-                stamped = opener.context.get(
-                    "n_patterns", record.context.get("n_patterns")
-                )
-                if stamped == 0:
-                    result.short_ensembles += 1
-            result.ensembles.append(ensemble)
-            result.patterns.append(patterns)
-            result.labels.append(label)
-            continue
-        buffer.append(record)
-    return result
+        events.extend(decoder.feed(record))
+    return PipelineResult.from_events(events, sample_rate=rate, total_samples=total_samples)
 
 
 def replica_groups(segments: Sequence[PipelineSegment]) -> dict[str, str]:

@@ -13,16 +13,19 @@ Two interchangeable shard backends (bit-exact for float64):
 * ``npz`` — pure-numpy fallback, so the core has zero hard dependencies.
   ``backend="auto"`` picks parquet when importable, else npz.
 
-Write paths, all feeding the same :class:`StoreWriter`:
+Write paths, all feeding the same :class:`StoreWriter` (whole ensembles
+through its one :meth:`~StoreWriter.write_ensemble` sequence):
 
 * ``BuiltPipeline.run(..., store=path)`` / ``run_corpus(..., store=path)``
   persist results as they complete;
 * ``.stage("store", path=...)`` plugs a pass-through
   :class:`StoreWriterStage` into the stage graph — fragment streams are
-  appended record by record, so a still-open ensemble never buffers whole;
+  appended event by event, so a still-open ensemble never buffers whole;
 * ``to_river(store=path)`` / ``deploy(..., store=path)`` append a
-  :class:`StoreSinkOperator` to the compiled river graph, so simulated and
-  process-fabric runs persist while they stream.
+  :class:`StoreSinkOperator` to the compiled river graph — the same store
+  stage, fed the events the river's scope decoder reads off the record
+  stream — so simulated and process-fabric runs persist while they stream
+  and store exactly what a batch run stores.
 
 Read paths: :class:`StoreReader` iterates stored ensembles/patterns with
 station/time/label filters, ``BuiltPipeline.run_from_store()`` /

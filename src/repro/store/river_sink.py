@@ -1,33 +1,23 @@
 """A Dynamic River sink operator persisting record streams as they flow.
 
-:class:`StoreSinkOperator` sits at the tail of a compiled acoustic river
-graph (``to_river(store=...)`` / ``deploy(store=...)`` appends it) and
-appends every ensemble scope that passes to a store — both scope shapes:
-
-* buffered scopes (one AUDIO record, FEATURES records, optional LABEL) as
-  emitted by ``event_to_records``;
-* fragmented scopes pumped by a fragment-mode extract/feature chain
-  (FRAGMENT slices and streamed FEATURES records while the scope is still
-  open) — each record is appended the moment it arrives, so the sink's
-  memory stays O(record) no matter how long the open ensemble runs.
-
-Records are forwarded unchanged, so downstream collectors still see the
-full stream.  Bad-closed scopes (truncated upstream) are *not* sealed:
-their already-flushed rows surface as incomplete on the read side rather
-than masquerading as shorter-but-valid ensembles.  The operator is
-picklable for the process fabric — the live writer never crosses a process
-boundary; each process re-opens it lazily at its store path.
+:class:`StoreSinkOperator` sits at the tail of a compiled river graph
+(``to_river(store=...)`` / ``deploy(store=...)`` appends it).  It reads the
+clip scope for what only the stream knows (recording name, station,
+``total_samples``), decodes ensemble scopes with the river codec —
+:class:`~repro.pipeline.river_adapter.ScopeDecoder`, streaming, so a
+fragmented scope is appended slice by slice while still open — and hands the
+events to a :class:`StoreWriterStage`, which does all the persisting.
+Records are forwarded unchanged.  A bad-closed (truncated) scope is
+abandoned, never sealed: what it already flushed reads as incomplete.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
+from ..pipeline.river_adapter import ScopeDecoder
 from ..river.operator_base import Operator
-from ..river.records import Record, ScopeType, Subtype
+from ..river.records import Record, ScopeType
 from .backends import StoreError
-from .stage import STAGE_FLUSH_VALUES
-from .writer import StoreWriter
+from .stage import STAGE_FLUSH_VALUES, StoreWriterStage
 
 __all__ = ["StoreSinkOperator"]
 
@@ -53,152 +43,57 @@ class StoreSinkOperator(Operator):
         self.backend = backend
         self.recording_prefix = recording_prefix
         self.flush_values = flush_values
-        self._writer: StoreWriter | None = None
-        self._recording: str | None = None
         self._clip_count = 0
-        self._ordinal = 0
-        self._session: dict | None = None
+        self._decoder = ScopeDecoder(stream=True)
+        self._stage: StoreWriterStage | None = None
 
     def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        # Live writer state stays on this side of a process boundary; the
-        # remote copy re-opens the store lazily at the same path.
-        state["_writer"] = None
-        state["_recording"] = None
-        state["_session"] = None
-        return state
+        # Picklable for the process fabric: the live writer never crosses a
+        # process boundary, each process re-opens the store lazily by path.
+        return {**self.__dict__, "_stage": None}
 
     @property
-    def writer(self) -> StoreWriter:
-        if self._writer is None:
-            self._writer = StoreWriter(
+    def stage(self) -> StoreWriterStage:
+        if self._stage is None:
+            self._stage = StoreWriterStage(
                 self.path, backend=self.backend, flush_values=self.flush_values
             )
-        return self._writer
-
-    # -- record observation ----------------------------------------------------
+        return self._stage
 
     def process(self, record: Record) -> list[Record]:
-        self._observe(record)
-        return [record]
-
-    def _observe(self, record: Record) -> None:
-        if record.is_open and record.scope_type == ScopeType.CLIP.value:
+        if record.is_end:
+            self.flush()
+        elif record.scope_type != ScopeType.CLIP.value:
+            for event in self._decoder.feed(record):
+                self.stage.process(event)
+            if record.is_bad_close and record.scope_type == ScopeType.ENSEMBLE.value:
+                self.stage.abandon_ensemble()
+        elif record.is_open:
             index = record.context.get("clip_index", self._clip_count)
             self._clip_count += 1
-            self._recording = f"{self.recording_prefix}{int(index):05d}"
-            self._ordinal = 0
-            self._session = None
-            self.writer.begin_recording(
-                self._recording,
-                station=record.context.get("station_id") or "",
-                sample_rate=int(record.context.get("sample_rate", 0)),
-            )
-            return
-        if record.is_close and record.scope_type == ScopeType.CLIP.value:
-            if self._recording is not None:
-                self.writer.end_recording(
-                    self._recording,
-                    total_samples=int(record.context.get("total_samples", 0)),
-                )
-                self.writer.flush()
-            self._recording = None
-            self._session = None
-            return
-        if record.is_end:
-            self._finish()
-            return
-        if self._recording is None:
-            return
-        if record.is_open and record.scope_type == ScopeType.ENSEMBLE.value:
-            context = record.context
-            start = int(context.get("start", 0))
-            self.writer.open_ensemble(
-                self._recording,
-                self._ordinal,
-                start,
-                sample_rate=context.get("sample_rate"),
-            )
-            self._session = {
-                "opener": dict(context),
-                "start": start,
-                "samples": 0,
-                "patterns": 0,
-                "label": context.get("label"),
-            }
-            return
-        session = self._session
-        if session is None:
-            return
-        if record.is_close and record.scope_type == ScopeType.ENSEMBLE.value:
-            self._close_ensemble(record, session)
-            self._session = None
-            self._ordinal += 1
-            return
-        if not record.is_data:
-            return
-        if record.subtype == Subtype.AUDIO.value:
-            samples = np.asarray(record.payload, dtype=float).ravel()
-            if samples.size:
-                self.writer.append_audio(
-                    self._recording, self._ordinal, session["start"], samples
-                )
-                session["samples"] += samples.size
-        elif record.subtype == Subtype.FRAGMENT.value:
-            samples = np.asarray(record.payload, dtype=float).ravel()
-            offset = int(
-                record.context.get("offset", session["start"] + session["samples"])
-            )
-            self.writer.append_audio(self._recording, self._ordinal, offset, samples)
-            session["samples"] += samples.size
-        elif record.subtype == Subtype.FEATURES.value:
-            self.writer.append_pattern(
-                self._recording, self._ordinal, session["patterns"], record.payload
-            )
-            session["patterns"] += 1
-        elif record.subtype == Subtype.LABEL.value:
-            session["label"] = record.context.get("label")
-
-    def _close_ensemble(self, record: Record, session: dict) -> None:
-        if record.is_bad_close:
-            # Truncated upstream: leave the flushed rows orphaned (the
-            # reader reports them incomplete) instead of sealing a lie.
-            return
-        opener = session["opener"]
-        end = opener.get("end")
-        if end is None:
-            end = session["start"] + max(session["samples"], 1)
-        stamped = opener.get("n_patterns", record.context.get("n_patterns"))
-        if stamped is not None:
-            n_patterns = int(stamped)
-        elif session["patterns"] > 0:
-            n_patterns = session["patterns"]
-        else:
-            n_patterns = -1
-        label = session["label"]
-        if label is not None:
-            label = str(label)
-        self.writer.close_ensemble(
-            self._recording,
-            self._ordinal,
-            int(end),
-            n_patterns=n_patterns,
-            label=label,
-            ens_label=label,
-        )
-
-    def _finish(self) -> None:
-        if self._writer is not None:
-            self._writer.flush()
-        self._recording = None
-        self._session = None
+            stage = self.stage
+            stage.reset()
+            stage.recording = f"{self.recording_prefix}{int(index):05d}"
+            stage.station = record.context.get("station_id") or ""
+            stage.start(int(record.context.get("sample_rate", 0)))
+        elif record.is_close:
+            # Completes the recording; outside a clip scope the stage has no
+            # recording and ignores every event.
+            self.stage.observe_stream_end(int(record.context.get("total_samples", 0)))
+            self.stage.flush()
+            self.stage.reset()
+        return [record]
 
     def flush(self) -> list[Record]:
-        self._finish()
+        # A clip still open here was truncated: its recording stays incomplete.
+        if self._stage is not None:
+            self._stage.writer.flush()
+            self._stage.reset()
+        self._decoder.reset()
         return []
 
     def reset(self) -> None:
         super().reset()
-        self._recording = None
-        self._session = None
-        self._ordinal = 0
+        self._decoder.reset()
+        if self._stage is not None:
+            self._stage.reset()

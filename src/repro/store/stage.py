@@ -11,9 +11,14 @@ held per open ensemble is one event's payload, and the writer's own
 
 ``n_patterns`` accounting on the fragment path needs to know whether a
 feature stage ran upstream (a close with zero streamed patterns is a
-*short* ensemble then, not a pattern-free extraction);
+*short* ensemble then, not a pattern-free extraction): a partial
+per-pattern event — even an empty one, which is how the river decoder
+relays a stream's ``n_patterns`` stamp — says so for its ensemble, and
 :class:`~repro.pipeline.builder.BuiltPipeline` stamps
-:attr:`expect_features` when it assembles the graph.
+:attr:`expect_features` for the whole graph when it assembles it.
+
+The river's :class:`~repro.store.StoreSinkOperator` persists through this
+stage too, so every path shares one session and ``n_patterns`` accounting.
 """
 
 from __future__ import annotations
@@ -150,6 +155,7 @@ class StoreWriterStage(Stage):
                 "start": int(event.start),
                 "samples": 0,
                 "streamed": 0,
+                "featured": bool(self.expect_features),
                 "terminal": False,
             }
             return
@@ -178,20 +184,29 @@ class StoreWriterStage(Stage):
             if event.end is not None
             else session["start"] + max(session["samples"], 1)
         )
-        if session["streamed"] > 0:
-            n_patterns = session["streamed"]
-        else:
-            n_patterns = 0 if self.expect_features else -1
+        n_patterns = session["streamed"] if session["featured"] else -1
         self.writer.close_ensemble(
             recording, self._ordinal, end, n_patterns=n_patterns
         )
         self._session = None
         self._ordinal += 1
 
+    def abandon_ensemble(self) -> None:
+        """Give up on the open ensemble: its stream was truncated.
+
+        The row is never sealed, so what already reached flushed shards
+        stays orphaned — readers report it incomplete instead of reading a
+        shorter-but-valid ensemble — and the ordinal is not used again.
+        """
+        if self._session is not None:
+            self._session = None
+            self._ordinal += 1
+
     def _observe_partial(self, event: FeaturesEvent) -> None:
         session = self._session
         if self._current is None or session is None:
             return
+        session["featured"] = True
         for pattern in event.patterns:
             self.writer.append_pattern(
                 self._current, self._ordinal, session["streamed"], pattern
@@ -229,21 +244,7 @@ class StoreWriterStage(Stage):
                 sample_rate=ensemble.sample_rate,
             )
             return
-        ordinal = self._ordinal
-        self.writer.open_ensemble(
-            recording, ordinal, ensemble.start, sample_rate=ensemble.sample_rate
-        )
-        if ensemble.samples.size:
-            self.writer.append_audio(recording, ordinal, ensemble.start, ensemble.samples)
-        for index, pattern in enumerate(patterns):
-            self.writer.append_pattern(recording, ordinal, index, pattern)
-        self.writer.close_ensemble(
-            recording,
-            ordinal,
-            ensemble.end,
-            n_patterns=n_patterns,
-            label=event.label,
-            ens_label=ensemble.label,
-            sample_rate=ensemble.sample_rate,
+        self.writer.write_ensemble(
+            recording, self._ordinal, ensemble, patterns, n_patterns, event.label
         )
         self._ordinal += 1

@@ -279,7 +279,27 @@ class StoreWriter:
             self._manifest["recordings"][recording]["ensembles"] += 1
         self._maybe_flush()
 
-    # -- whole-result convenience ----------------------------------------------
+    # -- whole-ensemble and whole-result convenience ---------------------------
+
+    def write_ensemble(
+        self, recording: str, ordinal: int, ensemble, patterns=(), n_patterns: int = -1, label=None
+    ) -> None:
+        """Persist one whole ensemble — the single open → audio → patterns →
+        close sequence (``n_patterns`` / ``label`` as in :meth:`close_ensemble`)."""
+        self.open_ensemble(recording, ordinal, ensemble.start, sample_rate=ensemble.sample_rate)
+        if ensemble.samples.size:
+            self.append_audio(recording, ordinal, ensemble.start, ensemble.samples)
+        for index, pattern in enumerate(patterns):
+            self.append_pattern(recording, ordinal, index, pattern)
+        self.close_ensemble(
+            recording,
+            ordinal,
+            ensemble.end,
+            n_patterns=n_patterns,
+            label=label,
+            ens_label=ensemble.label,
+            sample_rate=ensemble.sample_rate,
+        )
 
     def write_result(
         self,
@@ -305,21 +325,9 @@ class StoreWriter:
         )
         rows = zip(result.ensembles, result.patterns, result.labels)
         for ordinal, (ensemble, patterns, label) in enumerate(rows):
-            self.open_ensemble(
-                recording, ordinal, ensemble.start, sample_rate=ensemble.sample_rate
-            )
-            if ensemble.samples.size:
-                self.append_audio(recording, ordinal, ensemble.start, ensemble.samples)
-            for index, pattern in enumerate(patterns):
-                self.append_pattern(recording, ordinal, index, pattern)
-            self.close_ensemble(
-                recording,
-                ordinal,
-                ensemble.end,
-                n_patterns=len(patterns) if features else -1,
-                label=label,
-                ens_label=ensemble.label,
-                sample_rate=ensemble.sample_rate,
+            self.write_ensemble(
+                recording, ordinal, ensemble, patterns,
+                n_patterns=len(patterns) if features else -1, label=label,
             )
         self.end_recording(recording, total_samples=result.total_samples)
 
@@ -340,19 +348,7 @@ class StoreWriter:
             recording, station=station, sample_rate=int(sample_rate or 0), meta=meta
         )
         for ordinal, ensemble in enumerate(ensembles):
-            self.open_ensemble(
-                recording, ordinal, ensemble.start, sample_rate=ensemble.sample_rate
-            )
-            if ensemble.samples.size:
-                self.append_audio(recording, ordinal, ensemble.start, ensemble.samples)
-            self.close_ensemble(
-                recording,
-                ordinal,
-                ensemble.end,
-                n_patterns=-1,
-                ens_label=ensemble.label,
-                sample_rate=ensemble.sample_rate,
-            )
+            self.write_ensemble(recording, ordinal, ensemble)
         self.end_recording(recording, total_samples=total_samples)
 
     # -- classifier persistence ------------------------------------------------

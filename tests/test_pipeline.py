@@ -308,6 +308,15 @@ class TestRiverParity:
         assert_same_ensembles(batch.ensembles, river.ensembles)
         assert river.labels == [None] * len(river.ensembles)
 
+    def test_verdict_never_lands_in_the_ensemble_label(self, song_clip, trained_builder):
+        """Regression: the river path restored the classifier's verdict into
+        ``Ensemble.label`` (the ground-truth field), which batch leaves None."""
+        batch = trained_builder.build().run(song_clip)
+        river = run_clips_via_river(trained_builder, [song_clip])
+        assert any(label is not None for label in river.labels)
+        assert [e.label for e in river.ensembles] == [e.label for e in batch.ensembles]
+        assert all(e.label is None for e in river.ensembles)
+
 
 @pytest.fixture(scope="module")
 def station_corpus():

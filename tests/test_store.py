@@ -18,11 +18,20 @@ from repro.meso import MesoClassifier
 from repro.pipeline import AcousticPipeline, PipelineBuildError, run_clips_via_river
 from repro.pipeline.executor import CorpusExecutionError, CorpusExecutor
 from repro.pipeline.river_adapter import deploy_clips_via_river
+from repro.river.records import (
+    ScopeType,
+    bad_close_scope,
+    close_scope,
+    end_of_stream,
+    fragment_record,
+    open_scope,
+)
 from repro.river.transport import transport_available
 from repro.store import (
     StoreError,
     StoreIntegrityError,
     StoreReader,
+    StoreSinkOperator,
     StoreUnavailableError,
     StoreWriter,
     available_backends,
@@ -72,13 +81,16 @@ def trained_meso(station_clips):
     return meso
 
 
+def graph_spec(graph: str, meso, **extract_kwargs) -> AcousticPipeline:
+    """The chain up to ``graph``: extract → features → classify."""
+    spec = AcousticPipeline().extract(FAST_EXTRACTION, **extract_kwargs)
+    if graph != "extract":
+        spec = spec.features(use_paa=True)
+    return spec.classify(meso) if graph == "classify" else spec
+
+
 def classify_spec(meso, **extract_kwargs) -> AcousticPipeline:
-    return (
-        AcousticPipeline()
-        .extract(FAST_EXTRACTION, **extract_kwargs)
-        .features(use_paa=True)
-        .classify(meso)
-    )
+    return graph_spec("classify", meso, **extract_kwargs)
 
 
 def assert_results_equal(raw, replay) -> None:
@@ -95,6 +107,22 @@ def assert_results_equal(raw, replay) -> None:
     assert raw.labels == replay.labels
     assert raw.short_ensembles == replay.short_ensembles
     assert raw.total_samples == replay.total_samples
+
+
+def assert_rows_equal(rows, reference) -> None:
+    """Two stores hold the same ensembles, bit for bit and column for column."""
+    assert len(rows) == len(reference)
+    for row, ref in zip(rows, reference):
+        assert (row.recording, row.station, row.ordinal) == (
+            ref.recording, ref.station, ref.ordinal
+        )
+        a, b = row.ensemble, ref.ensemble
+        assert (a.start, a.end, a.sample_rate, a.label) == (b.start, b.end, b.sample_rate, b.label)
+        np.testing.assert_array_equal(a.samples, b.samples)
+        assert (row.label, row.n_patterns) == (ref.label, ref.n_patterns)
+        assert len(row.patterns) == len(ref.patterns)
+        for x, y in zip(row.patterns, ref.patterns):
+            np.testing.assert_array_equal(x, y)
 
 
 class TestRoundTrip:
@@ -249,13 +277,17 @@ class TestParity:
         raw = classify_spec(trained_meso).build().run(clip)
         assert_results_equal(raw, replay)
 
+    @pytest.mark.parametrize("graph", ["extract", "features", "classify"])
+    @pytest.mark.parametrize("emit", ["ensembles", "fragments"])
     @pytest.mark.parametrize("fan_out", [1, 2])
-    def test_simulated_river(self, backend, tmp_path, station_clips, trained_meso, fan_out):
-        spec = classify_spec(trained_meso).stage(
+    def test_simulated_river(
+        self, backend, tmp_path, station_clips, trained_meso, fan_out, emit, graph
+    ):
+        spec = graph_spec(graph, trained_meso, emit=emit).stage(
             "store", path=str(tmp_path / "store"), backend=backend
         )
         river_result = run_clips_via_river(spec, station_clips, fan_out=fan_out)
-        replay = classify_spec(trained_meso).build().run_corpus(
+        replay = graph_spec(graph, trained_meso).build().run_corpus(
             from_store=tmp_path / "store"
         )
         assert len(replay) == len(station_clips)
@@ -272,6 +304,22 @@ class TestParity:
                 np.testing.assert_array_equal(x, y)
         assert sum(r.short_ensembles for r in replay) == river_result.short_ensembles
         assert sum(r.total_samples for r in replay) == river_result.total_samples
+        # And the river-written store is the store a batch run writes, row
+        # for row — whichever scope shape carried the ensembles to the sink.
+        graph_spec(graph, trained_meso).build().run_corpus(
+            station_clips, store=tmp_path / "batch"
+        )
+        rows = list(StoreReader(tmp_path / "store").iter_ensembles())
+        assert len(rows) == len(river_result.ensembles)
+        assert_rows_equal(rows, list(StoreReader(tmp_path / "batch").iter_ensembles()))
+        assert all(row.ensemble.label is None for row in rows)
+        n_patterns = sorted({row.n_patterns for row in rows})
+        if graph == "extract":
+            assert n_patterns == [-1]
+        else:
+            # The corpus has two ensembles too short for a single pattern.
+            assert n_patterns[0] == 0 and n_patterns[-1] > 0
+            assert sum(row.n_patterns == 0 for row in rows) == 2
 
     @pytest.mark.skipif(
         not transport_available(), reason="process transport unavailable here"
@@ -325,6 +373,56 @@ class TestParity:
             classify_spec(trained_meso).build().run_corpus(
                 from_store=store, store=store
             )
+
+
+class _IntLabels:
+    """A classifier whose verdicts are not strings."""
+
+    def predict(self, pattern) -> int:
+        return 7
+
+
+class TestRiverSink:
+    def test_truncated_fragment_scope_is_orphaned_not_sealed(self, tmp_path):
+        """A hand-built stream through a bare sink: the bad-closed scope's
+        flushed audio stays orphaned under its own ordinal, and the survivor
+        is sealed from the stream's own ``n_patterns`` stamp."""
+        ensemble = ScopeType.ENSEMBLE.value
+        fragmented = {"sample_rate": 8000, "fragmented": True}
+        stamped_close = close_scope(1, ensemble, sequence=1)
+        stamped_close.context = {"n_patterns": 0}
+        stream = [
+            open_scope(0, ScopeType.CLIP.value, context={"sample_rate": 8000}),
+            open_scope(1, ensemble, sequence=0, context={"start": 100, **fragmented}),
+            fragment_record(np.ones(50), scope=2, sequence=0, context={"offset": 100}),
+            bad_close_scope(1, ensemble, reason="worker died"),
+            open_scope(1, ensemble, sequence=1, context={"start": 400, **fragmented}),
+            fragment_record(np.full(30, 2.0), scope=2, sequence=0, context={"offset": 400}),
+            stamped_close,
+            close_scope(0, ScopeType.CLIP.value),
+            end_of_stream(),
+        ]
+        stream[-2].context = {"total_samples": 1000}
+        sink = StoreSinkOperator(tmp_path / "store")
+        assert [out for record in stream for out in sink.process(record)] == stream
+        reader = StoreReader(tmp_path / "store")
+        assert reader.incomplete() == {"ensembles": [("rec-00000", 0)], "recordings": []}
+        (survivor,) = reader.iter_ensembles()
+        assert (survivor.ordinal, survivor.n_patterns, survivor.label) == (1, 0, None)
+        assert (survivor.ensemble.start, survivor.ensemble.end) == (400, 430)
+        np.testing.assert_array_equal(survivor.ensemble.samples, np.full(30, 2.0))
+        assert reader.recording_info("rec-00000").total_samples == 1000
+
+    def test_unstorable_verdict_is_the_named_error_on_the_river_too(
+        self, tmp_path, station_clips
+    ):
+        """One behaviour for labels a store cannot hold: the river sink used
+        to ``str()``-coerce what ``write_result`` and the store stage reject."""
+        spec = classify_spec(_IntLabels())
+        with pytest.raises(StoreError, match="map labels to strings"):
+            spec.build().run(station_clips[0], store=tmp_path / "batch")
+        with pytest.raises(StoreError, match="map labels to strings"):
+            run_clips_via_river(spec, station_clips[:1], store=tmp_path / "river")
 
 
 class TestExecutorCompleted:
