@@ -2,9 +2,9 @@
 
 Asserts that the vectorised kernels keep their measured advantage over the
 scalar seed implementations they replaced — a same-box relative comparison,
-so the gate is robust to how fast the machine itself is.  Thresholds (and
-the numbers recorded when the kernels landed) live in
-``benchmarks/bench-results.json``.
+so the gate is robust to how fast the machine itself is.  Each threshold is
+a named constant below, with the ratio measured when the kernel landed
+(2026-08-08, one-core CI-class container) as its reason.
 
 Timing assertions are inherently noisy, so the gate only runs when
 ``PERF_GATE=1`` is set (CI runs it as a dedicated tier-2 job; it is
@@ -15,10 +15,8 @@ shed scheduler noise.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,10 +31,6 @@ pytestmark = pytest.mark.skipif(
     reason="perf gate only runs with PERF_GATE=1 (tier-2 CI job)",
 )
 
-THRESHOLDS = json.loads(
-    (Path(__file__).parent / "bench-results.json").read_text()
-)["thresholds"]
-
 
 def best_of(fn, repeats: int = 7, iters: int = 20) -> float:
     """Best mean-per-iteration over ``repeats`` timed batches."""
@@ -47,6 +41,10 @@ def best_of(fn, repeats: int = 7, iters: int = 20) -> float:
             fn()
         best = min(best, (time.perf_counter() - start) / iters)
     return best
+
+
+# 7.4× at landing (477 µs → 64 µs); 5× leaves room for a loaded runner.
+SCORER_KERNEL_MIN_SPEEDUP = 5.0
 
 
 def test_scorer_kernel_speedup_holds():
@@ -78,11 +76,15 @@ def test_scorer_kernel_speedup_holds():
         lambda: seed_window_counts(codes, ends, lead_starts, lag_starts, n_codes)
     )
     speedup = seed_time / new_time
-    assert speedup >= THRESHOLDS["scorer_kernel_min_speedup"], (
+    assert speedup >= SCORER_KERNEL_MIN_SPEEDUP, (
         f"scorer kernel speedup regressed: {speedup:.2f}x < "
-        f"{THRESHOLDS['scorer_kernel_min_speedup']}x "
+        f"{SCORER_KERNEL_MIN_SPEEDUP}x "
         f"(new {new_time * 1e6:.1f}us, seed {seed_time * 1e6:.1f}us)"
     )
+
+
+# 15.9× at landing (623 µs → 39 µs); 3× leaves room for a loaded runner.
+PAA_FRACTIONAL_MIN_SPEEDUP = 3.0
 
 
 def test_fractional_paa_speedup_holds():
@@ -97,8 +99,8 @@ def test_fractional_paa_speedup_holds():
     new_time = best_of(lambda: paa(values, segments), iters=50)
     seed_time = best_of(lambda: seed_paa(values, segments), iters=5)
     speedup = seed_time / new_time
-    assert speedup >= THRESHOLDS["paa_fractional_min_speedup"], (
+    assert speedup >= PAA_FRACTIONAL_MIN_SPEEDUP, (
         f"fractional PAA speedup regressed: {speedup:.2f}x < "
-        f"{THRESHOLDS['paa_fractional_min_speedup']}x "
+        f"{PAA_FRACTIONAL_MIN_SPEEDUP}x "
         f"(new {new_time * 1e6:.1f}us, seed {seed_time * 1e6:.1f}us)"
     )

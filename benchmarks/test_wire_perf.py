@@ -6,8 +6,9 @@ comparison, so the gate is robust to how fast the machine itself is.  The
 seed implementations (``tobytes`` + concatenation on send; ``del
 buffer[:end]`` + double-copy decode on receive) live verbatim in
 ``tests/_seed_anchors.py`` as both the timing baseline and the
-byte-identity anchor.  Thresholds (and the numbers recorded when the wire
-path landed) live in ``benchmarks/bench-results.json``.
+byte-identity anchor.  Each threshold is a named constant below, with the
+ratio measured when the wire path landed (2026-08-08, one-core CI-class
+container) as its reason.
 
 Two workload mixes are measured, matching what a pumped river scope
 carries:
@@ -31,11 +32,9 @@ takes the best of several repeats to shed scheduler noise.
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,10 +56,6 @@ pytestmark = pytest.mark.skipif(
     os.environ.get("PERF_GATE") != "1",
     reason="perf gate only runs with PERF_GATE=1 (tier-2 CI job)",
 )
-
-THRESHOLDS = json.loads(
-    (Path(__file__).parent / "bench-results.json").read_text()
-)["thresholds"]
 
 
 def best_of(fn, repeats: int = 5, iters: int = 10) -> float:
@@ -153,6 +148,11 @@ def assert_paths_byte_identical(records: list[Record]) -> None:
 # -- gates -------------------------------------------------------------------
 
 
+# 23.3× at landing (20.1 ms → 0.86 ms per 4 × 2 MiB cycle); 3× is the wire
+# path's acceptance criterion and leaves room for a loaded runner.
+WIRE_LARGE_FRAGMENT_MIN_SPEEDUP = 3.0
+
+
 def test_large_fragment_wire_speedup_holds():
     """The tentpole criterion: ≥ 3× framed-record throughput on large
     FRAGMENT payloads, byte-identical on the wire."""
@@ -165,12 +165,17 @@ def test_large_fragment_wire_speedup_holds():
     seed_time = best_of(lambda: seed_cycle(records, wires))
     speedup = seed_time / new_time
     payload_mb = records[0].payload.nbytes / 2**20
-    assert speedup >= THRESHOLDS["wire_large_fragment_min_speedup"], (
+    assert speedup >= WIRE_LARGE_FRAGMENT_MIN_SPEEDUP, (
         f"large-FRAGMENT wire speedup regressed: {speedup:.2f}x < "
-        f"{THRESHOLDS['wire_large_fragment_min_speedup']}x "
+        f"{WIRE_LARGE_FRAGMENT_MIN_SPEEDUP}x "
         f"({payload_mb:.1f} MiB payloads; new {new_time * 1e3:.2f}ms, "
         f"seed {seed_time * 1e3:.2f}ms per cycle)"
     )
+
+
+# 1.1× at landing (1299 µs → 1177 µs per 120-record cycle): JSON header work
+# dominates both paths, so 0.8× is a no-regression bound with noise room.
+WIRE_SMALL_CONTROL_MIN_SPEEDUP = 0.8
 
 
 def test_small_control_wire_no_regression():
@@ -183,11 +188,16 @@ def test_small_control_wire_no_regression():
     new_time = best_of(lambda: views_cycle(records, wires))
     seed_time = best_of(lambda: seed_cycle(records, wires))
     speedup = seed_time / new_time
-    assert speedup >= THRESHOLDS["wire_small_control_min_speedup"], (
+    assert speedup >= WIRE_SMALL_CONTROL_MIN_SPEEDUP, (
         f"small-control wire throughput regressed: {speedup:.2f}x < "
-        f"{THRESHOLDS['wire_small_control_min_speedup']}x "
+        f"{WIRE_SMALL_CONTROL_MIN_SPEEDUP}x "
         f"(new {new_time * 1e6:.1f}us, seed {seed_time * 1e6:.1f}us per cycle)"
     )
+
+
+# 10.8 frames per sendmsg at landing (64-record scope behind a wedged 4 KiB
+# SNDBUF); 2 still proves frames coalesce at all.
+WIRE_MIN_FRAMES_PER_SYSCALL = 2.0
 
 
 @pytest.mark.skipif(
@@ -229,10 +239,10 @@ def test_syscalls_per_pumped_scope_coalesce():
             sender.flush_nowait()
         syscalls = sender.send_syscalls - before
         frames_per_syscall = queued / max(syscalls, 1)
-        assert frames_per_syscall >= THRESHOLDS["wire_min_frames_per_syscall"], (
+        assert frames_per_syscall >= WIRE_MIN_FRAMES_PER_SYSCALL, (
             f"coalescing regressed: {frames_per_syscall:.1f} frames/syscall "
             f"({syscalls} syscalls for {queued} queued frames) < "
-            f"{THRESHOLDS['wire_min_frames_per_syscall']}"
+            f"{WIRE_MIN_FRAMES_PER_SYSCALL}"
         )
     finally:
         client.close()

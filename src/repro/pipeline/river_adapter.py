@@ -82,8 +82,7 @@ import numpy as np
 
 from ..river.operator_base import Operator
 from ..river.operators.io_ops import ClipSource
-from ..river.channels import QueueChannel
-from ..river.errors import PlacementError
+from ..river.channels import CHANNEL_CAPACITY, QueueChannel
 from ..river.pipeline import Pipeline as RiverPipeline, PipelineSegment, split_into_segments
 from ..river.placement import Deployment, Host, StationScheduler, station_hash
 from ..river.records import (
@@ -924,9 +923,7 @@ def deploy_clips_via_river(
     fan_out: int | dict[str, int] = 1,
     partition: str = "station",
     record_size: int = 4096,
-    channel_capacity: int = 256,
     stall_timeout: float = 60.0,
-    sample_rate: int | None = None,
     store=None,
 ) -> PipelineResult:
     """Deploy the compiled river graph on a fabric and run the clips through it.
@@ -939,73 +936,58 @@ def deploy_clips_via_river(
     * ``"simulated"`` — cooperative :class:`~repro.river.placement.Host`
       objects stepped round-robin inside this process (deterministic, no OS
       resources; the fabric used by experiments and most tests);
-    * ``"process"`` — one real OS process per host, wired with TCP
-      :class:`~repro.river.transport.SocketChannel` links between hosts and
-      plain queues within one (the fabric that actually exercises process
-      boundaries, serialization and backpressure over a wire).
+    * ``"process"`` — one real OS process per host, each a one-host
+      deployment, wired with TCP :class:`~repro.river.transport.SocketChannel`
+      links between hosts and plain queues within one.
 
     Both fabrics produce bit-identical results — to each other and to batch
-    ``run()`` — because the record stream and operator order are the same;
-    only where the work executes changes.  ``hosts`` is an int (that many
-    equal hosts), an iterable of names, or a ``name -> speed`` mapping
-    (speeds weight the simulated scheduler; the process fabric treats every
-    host as one worker process).
+    ``run()`` — because the record stream, the operator order and the
+    scheduling turn are the same; only where the work executes changes.
+    Both fail the same way: segments still not done once nothing can move
+    them are a :class:`~repro.river.errors.PlacementError` naming them and
+    their hosts — after one idle round here (the whole stream is fed up
+    front), after ``stall_timeout`` seconds without movement on the process
+    fabric.  ``hosts`` is an int (that many equal hosts), an iterable of
+    names, or a ``name -> speed`` mapping (speeds weight the scheduler and
+    the simulated turn; the process fabric treats every host as one worker).
     """
     if backend not in DEPLOY_BACKENDS:
         raise ValueError(
             f"backend must be one of {', '.join(DEPLOY_BACKENDS)}; got {backend!r}"
         )
-    host_speeds = _coerce_hosts(hosts)
+    deployment = Deployment(
+        hosts={
+            name: Host(name, speed=speed)
+            for name, speed in _coerce_hosts(hosts).items()
+        }
+    )
     river = pipeline.to_river(fan_out=fan_out, partition=partition, store=store)
     segments = split_into_segments(river)
     groups = replica_groups(segments)
-    scheduler = StationScheduler(
-        hosts={name: Host(name, speed=speed) for name, speed in host_speeds.items()}
-    )
-    plan = scheduler.plan(segments, groups)
+    plan = StationScheduler.for_deployment(deployment).plan(segments, groups)
     source = ClipSource(list(clips), record_size=record_size)
-    rate = sample_rate or (int(clips[0].sample_rate) if clips else None)
     if backend == "process":
         from ..river.transport import ProcessDeployment
 
-        deployment = ProcessDeployment(
-            segments,
-            plan,
-            channel_capacity=channel_capacity,
-            stall_timeout=stall_timeout,
-        )
-        outputs = deployment.run(source.generate())
-        return collect_result(outputs, sample_rate=rate)
-    deployment = Deployment()
-    for name, speed in host_speeds.items():
-        deployment.add_host(Host(name, speed=speed))
+        fabric = ProcessDeployment(segments, plan, stall_timeout=stall_timeout)
+        return collect_result(fabric.run(source.generate()))
     # Bound the inter-segment channels like the socket fabric does (the feed
     # channel stays unbounded — the whole source is enqueued up front — and
     # the tail stays unbounded because run() has no consumer for it).
     for upstream, downstream in zip(segments, segments[1:]):
-        bounded = QueueChannel(capacity=channel_capacity)
+        bounded = QueueChannel(capacity=CHANNEL_CAPACITY)
         upstream.rewire(output_channel=bounded)
         downstream.rewire(input_channel=bounded)
     for segment in segments:
         deployment.place(segment, plan[segment.name], group=groups.get(segment.name))
     for record in source.generate():
         segments[0].input_channel.put(record)
-    outputs: list = []
-    max_rounds = 100_000
-    while True:
-        rounds = deployment.run(max_rounds=max_rounds)
-        outputs.extend(segments[-1].drain_output())
-        if deployment.finished:
-            break
-        if rounds < max_rounds:
-            # A zero-progress round with segments still running: nothing in
-            # the deployment can change any more, so returning the partial
-            # drain as a result would be silent truncation.
-            stuck = ", ".join(s.name for s in segments if not s.finished)
-            raise PlacementError(
-                f"simulated deployment stalled before finishing: {stuck}"
-            )
-    return collect_result(outputs, sample_rate=rate)
+    deployment.run()
+    if deployment.unfinished():
+        # The stream was fed to its end and nothing moves any more:
+        # returning the partial tail would be silent truncation.
+        raise deployment.stall_error()
+    return collect_result(list(segments[-1].drain_output()))
 
 
 def run_clips_via_river(

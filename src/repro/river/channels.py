@@ -30,6 +30,11 @@ from .serialization import frame_record_views, pack_record, unframe_record, unpa
 
 __all__ = ["Channel", "QueueChannel", "ByteChannel", "SimulatedLinkChannel", "LinkStats"]
 
+#: Records a deployed inter-segment channel holds before ``put`` raises
+#: :class:`ChannelFull` — one depth for queue and socket edges alike, so
+#: backpressure sets in at the same point on the simulated and process fabrics.
+CHANNEL_CAPACITY = 256
+
 
 class Channel:
     """Base channel interface."""

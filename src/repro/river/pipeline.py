@@ -260,6 +260,16 @@ class PipelineSegment:
     def finished(self) -> bool:
         return self.state in (SegmentState.FINISHED, SegmentState.FAILED)
 
+    @property
+    def done(self) -> bool:
+        """Finished *and* every record delivered — the fabrics' one notion of done.
+
+        A segment that read END_OF_STREAM while its bounded output channel
+        was full is ``finished`` with the marker still in its outbox; until
+        the outbox drains, downstream has not seen the stream's end.
+        """
+        return self.finished and not self._outbox
+
     def drain_output(self) -> Iterator[Record]:
         """Yield everything currently waiting on the output channel."""
         while True:

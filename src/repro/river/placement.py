@@ -8,7 +8,9 @@ service.  This module provides:
   stepping a segment on a host accrues simulated processing time.
 * :class:`Deployment` — a set of hosts, the segments placed on them and the
   channels wiring segments together; :meth:`Deployment.run` steps every
-  running segment round-robin until the whole pipeline drains.
+  running segment round-robin until the whole pipeline drains (a process
+  worker, :class:`~repro.river.transport.ProcessHost`, is a one-host
+  deployment whose edge channels are sockets).
 * :class:`QoSMonitor` — tracks per-segment backlog and processing time and
   recommends relocations when a host is overloaded.  Segments placed with a
   ``group`` (fan-out replicas of the same stage) are kept spread across
@@ -25,6 +27,7 @@ service.  This module provides:
 
 from __future__ import annotations
 
+import itertools
 import zlib
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping
@@ -45,13 +48,18 @@ def station_hash(key: Hashable) -> int:
     return zlib.crc32(str(key).encode("utf-8"))
 
 
+#: Host speed at which a segment's scheduling turn is exactly
+#: ``Deployment.batch_size`` records (also the default :attr:`Host.speed`).
+REFERENCE_SPEED = 1000.0
+
+
 @dataclass
 class Host:
     """A simulated host: a name, a relative speed and an availability flag."""
 
     name: str
     #: Records processed per simulated second (relative capacity).
-    speed: float = 1000.0
+    speed: float = REFERENCE_SPEED
     available: bool = True
     #: Total simulated processing seconds accrued on this host.
     busy_seconds: float = 0.0
@@ -123,23 +131,19 @@ class QoSMonitor:
             if report.backlog > self.backlog_threshold and report.state == SegmentState.RUNNING
         ]
 
-    def recommend(
-        self, deployment: "Deployment", spread_groups: bool = True
-    ) -> dict[str, str]:
+    def recommend(self, deployment: "Deployment") -> dict[str, str]:
         """Recommend a new host for each overloaded segment (fastest idle host).
 
-        With ``spread_groups`` (the default), segments that were placed with
-        a ``group`` — fan-out replicas of one pipeline stage — are never
-        recommended onto a host that already runs a sibling of the same
-        group, unless no other host is available: co-locating two replicas
-        would serialise exactly the work the fan-out exists to parallelise.
+        Segments that were placed with a ``group`` — fan-out replicas of one
+        pipeline stage — are never recommended onto a host that already
+        runs a sibling of the same group, unless no other host is
+        available: co-locating two replicas would serialise exactly the
+        work the fan-out exists to parallelise.
         """
         recommendations: dict[str, str] = {}
         for segment_name in self.overloaded(deployment):
             current = deployment.placement[segment_name]
-            occupied = (
-                deployment.group_hosts(segment_name) if spread_groups else set()
-            )
+            occupied = deployment.group_hosts(segment_name)
             usable = [
                 host
                 for host in deployment.hosts.values()
@@ -168,13 +172,14 @@ class Deployment:
     #: share a label so schedulers and the QoS monitor can spread them).
     groups: dict[str, str] = field(default_factory=dict)
     #: Number of records a segment may process per scheduling turn when its
-    #: host runs at ``reference_speed``; faster hosts get proportionally more,
-    #: slower hosts proportionally fewer (never less than one).
+    #: host runs at :data:`REFERENCE_SPEED`; faster hosts get proportionally
+    #: more, slower hosts proportionally fewer (never less than one).
     batch_size: int = 64
-    #: Host speed that corresponds to exactly ``batch_size`` records per turn.
-    reference_speed: float = 1000.0
     #: Log of (event, detail) tuples describing placements and relocations.
     events: list[tuple[str, str]] = field(default_factory=list)
+    #: Name of the segment :meth:`step_all` is stepping right now (``None``
+    #: between turns) — whoever catches an operator's exception blames it.
+    stepping: str | None = field(default=None, init=False)
 
     # -- construction ----------------------------------------------------------
 
@@ -260,14 +265,14 @@ class Deployment:
     # -- execution --------------------------------------------------------------
 
     def step_all(self) -> int:
-        """Give every running segment one scheduling turn; returns records handled.
+        """Give every segment one scheduling turn; returns how much moved.
 
-        Segments that already finished but still hold records a bounded
-        output channel refused (``pending_output``) are stepped too, so
-        their tail drains once the consumer frees capacity; the drained
-        records count as progress to keep :meth:`run` going.
+        The only place a deployed segment is stepped, on either fabric.
+        What moved is records handled plus held-back records a bounded
+        output channel finally accepted — a finished segment keeps getting
+        turns until its outbox is empty (see :attr:`PipelineSegment.done`).
         """
-        handled = 0
+        moved = 0
         for name, segment in self.segments.items():
             backlogged = segment.pending_output
             if segment.state != SegmentState.RUNNING and not backlogged:
@@ -275,81 +280,74 @@ class Deployment:
             host = self.hosts[self.placement[name]]
             if not host.available:
                 continue
-            allowance = max(1, int(round(self.batch_size * host.speed / self.reference_speed)))
+            allowance = max(1, int(round(self.batch_size * host.speed / REFERENCE_SPEED)))
+            self.stepping = name
             processed = segment.step(allowance)
-            drained = backlogged - segment.pending_output
             if processed:
                 segment.processing_seconds += host.account(processed)
-            handled += processed + max(drained, 0)
-        return handled
+            moved += processed + max(0, backlogged - segment.pending_output)
+        self.stepping = None
+        return moved
 
-    def run(
-        self,
-        max_rounds: int = 100_000,
-        monitor: QoSMonitor | None = None,
-        rebalance: bool = False,
-    ) -> int:
-        """Step all segments until no segment makes progress.
+    def run(self, monitor: QoSMonitor | None = None, rebalance: bool = False) -> int:
+        """Step all segments until a round moves nothing; returns the rounds run.
 
         With ``rebalance=True`` and a monitor, relocation recommendations are
-        applied after every round, demonstrating QoS-driven recomposition.
-        Returns the number of scheduling rounds executed.
+        applied after every round (QoS-driven recomposition).  Every round
+        that moves consumes queued records and nothing inside ``run`` adds
+        any, so it terminates on any finite input.
 
-        A round in which no segment makes progress *while a running segment
-        sits on an unavailable host* is a stall, not completion — host
-        availability cannot change inside ``run``, so that segment can
-        never run again and :class:`PlacementError` is raised instead of
-        returning as if the pipeline had drained.
-
-        With bounded channels, leave the **final** segment's output channel
-        unbounded (or drain it between calls): ``run`` has no consumer for
-        it, so a full tail channel backpressures the whole chain to a halt
-        and ``run`` returns with ``finished`` still False — check
-        :attr:`finished` and drain/re-run in that case.
+        Nothing outside ``run`` can change the deployment while it runs, so
+        a round that moves nothing is final.  If a not-done segment then
+        sits on an unavailable host it can never run again and
+        :meth:`stall_error` is raised.  Otherwise ``run`` returns and
+        :attr:`finished` tells whether the stream ended: it stays False
+        while input is still to come, a segment is stopped, or a bounded
+        **final** output channel is full (``run`` has no consumer for it) —
+        feed, resume or drain, then call ``run`` again.
         """
-        rounds = 0
-        for rounds in range(1, max_rounds + 1):
-            handled = self.step_all()
+        for rounds in itertools.count(1):
+            moved = self.step_all()
             if monitor is not None:
                 if rebalance:
                     for segment_name, host_name in monitor.recommend(self).items():
                         self.relocate(segment_name, host_name)
                 else:
                     monitor.observe(self)
-            if handled == 0:
-                self._check_stalled()
-                break
-        return rounds
+            if not moved:
+                hosts = (self.hosts[self.placement[name]] for name in self.unfinished())
+                if not all(host.available for host in hosts):
+                    raise self.stall_error()
+                return rounds
 
-    def _check_stalled(self) -> None:
-        """Raise :class:`PlacementError` when running segments can never resume.
-
-        Called only after a zero-progress round: at that point nothing in
-        the deployment will change again, so *any* running segment placed
-        on an unavailable host is permanently stuck — not just the case
-        where every host is down.
-        """
-        stranded = [
-            name
-            for name, segment in self.segments.items()
-            if (segment.state == SegmentState.RUNNING or segment.pending_output)
-            and not self.hosts[self.placement[name]].available
-        ]
-        if stranded:
-            stuck = ", ".join(
-                f"{name} (on {self.placement[name]})" for name in sorted(stranded)
-            )
-            raise PlacementError(
-                "deployment stalled: running segments are placed on "
-                f"unavailable hosts and can never make progress: {stuck}; "
-                "relocate the segments to an available host or fail the hosts "
-                "to abort them cleanly"
-            )
+    def unfinished(self) -> list[str]:
+        """Names of the segments that are not :attr:`~PipelineSegment.done`."""
+        return [name for name, segment in self.segments.items() if not segment.done]
 
     @property
     def finished(self) -> bool:
-        """True when every segment has finished or failed."""
-        return all(segment.finished for segment in self.segments.values())
+        """True when every segment is done: ended *and* its output delivered."""
+        return not self.unfinished()
+
+    def stall_error(self) -> PlacementError:
+        """The stall report: every not-done segment with the host it sits on.
+
+        For the caller that knows nothing will move again — ``run`` when a
+        host is down, or whoever fed the stream to its end and still finds
+        segments :meth:`unfinished` after ``run`` returned.
+        """
+
+        def where(name: str) -> str:
+            host = self.hosts[self.placement[name]]
+            return f"{name} (on {host.name}{'' if host.available else ', unavailable'})"
+
+        stuck = ", ".join(where(name) for name in self.unfinished())
+        return PlacementError(
+            f"deployment stalled: nothing moved and segments {stuck} are not "
+            "done; relocate segments off unavailable hosts (or fail those "
+            "hosts to abort them cleanly), resume stopped segments and drain "
+            "a full final output channel"
+        )
 
 
 @dataclass
@@ -559,7 +557,7 @@ class StationScheduler:
         self, deployment: Deployment, monitor: QoSMonitor
     ) -> dict[str, str]:
         """Apply the monitor's group-aware relocation recommendations."""
-        moves = monitor.recommend(deployment, spread_groups=True)
+        moves = monitor.recommend(deployment)
         for segment_name, host_name in moves.items():
             deployment.relocate(segment_name, host_name)
         return moves

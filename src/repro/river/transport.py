@@ -18,8 +18,9 @@ module is the same deployment model on a real fabric:
 * :class:`ProcessHost` — the worker-side runtime.  It receives pickled
   :class:`~repro.river.pipeline.PipelineSegment` specs, rebuilds their
   operators, wires inbound/outbound channels (sockets across process
-  boundaries, plain queues between co-located segments) and pumps records
-  until every segment finishes.
+  boundaries, plain queues between co-located segments), places them on a
+  one-host :class:`~repro.river.placement.Deployment` and steps that until
+  every segment is done — the simulated fabric's scheduler, on sockets.
 * :class:`ProcessDeployment` — the parent-side runner.  It takes the output
   of :func:`~repro.river.pipeline.split_into_segments` plus a placement
   (segment name → host name, e.g. from a :class:`~repro.river.placement.
@@ -52,7 +53,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .channels import Channel, QueueChannel
+from .channels import CHANNEL_CAPACITY, Channel, QueueChannel
 from .errors import (
     ChannelClosed,
     ChannelFull,
@@ -61,6 +62,7 @@ from .errors import (
     PlacementError,
 )
 from .pipeline import PipelineSegment
+from .placement import Deployment, Host
 from .records import Record, RecordType
 from .serialization import RecordFrameDecoder, frame_record_views
 
@@ -146,7 +148,7 @@ class SocketChannel(Channel):
     def __init__(
         self,
         sock: socket.socket,
-        capacity: int | None = 256,
+        capacity: int | None = CHANNEL_CAPACITY,
         timeout: float = 10.0,
         label: str = "socket-channel",
         use_sendmsg: bool | None = None,
@@ -367,11 +369,8 @@ class HostPlan:
 
     host: str
     entries: tuple[SegmentEntry, ...]
-    loopback: str = LOOPBACK
-    channel_capacity: int = 256
     connect_timeout: float = 10.0
     stall_timeout: float = 60.0
-    batch_size: int = 64
 
 
 class ProcessHost:
@@ -380,20 +379,21 @@ class ProcessHost:
     Rebuilds each :class:`~repro.river.pipeline.PipelineSegment` from its
     pickled spec, binds a listener per inbound socket edge, reports the
     ports to the parent, connects its outbound edges once the parent sends
-    the wiring, and then pumps records until every segment finishes.  Any
-    failure is reported back over the control pipe before the process exits
-    non-zero, so the parent can name the failing segment instead of timing
-    out blind.
+    the wiring, and places the segments on a one-host
+    :class:`~repro.river.placement.Deployment`: its ``step_all`` is the
+    scheduling turn and its ``unfinished()`` says who is not done.  Bytes
+    crossing a socket count as movement too, and because a peer may still
+    be working a stall is ``stall_timeout`` seconds without movement, not
+    one idle round.  Any failure is reported back over the control pipe
+    before the process exits non-zero, so the parent can name the failing
+    segment instead of timing out blind.
     """
 
     def __init__(self, plan: HostPlan, conn) -> None:
         self.plan = plan
         self.conn = conn
-        self.segments: list[PipelineSegment] = []
+        self.deployment = Deployment(hosts={plan.host: Host(plan.host)})
         self._sockets: list[SocketChannel] = []
-        #: Name of the segment currently being stepped — error reports blame
-        #: this segment, not merely the first unfinished one.
-        self._current: str | None = None
 
     # -- handshake -------------------------------------------------------------
 
@@ -406,7 +406,7 @@ class ProcessHost:
             kind, edge_id = entry.inbound
             if kind == "socket":
                 listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-                listener.bind((self.plan.loopback, 0))
+                listener.bind((LOOPBACK, 0))
                 listener.listen(1)
                 listener.settimeout(self.plan.connect_timeout)
                 listeners[edge_id] = listener
@@ -435,7 +435,6 @@ class ProcessHost:
             channels[edge_id] = self._track(
                 SocketChannel(
                     sock,
-                    capacity=self.plan.channel_capacity,
                     timeout=self.plan.stall_timeout,
                     label=self._edge_label(edge_id, "producer"),
                 )
@@ -453,7 +452,6 @@ class ProcessHost:
             channels[edge_id] = self._track(
                 SocketChannel(
                     conn,
-                    capacity=self.plan.channel_capacity,
                     timeout=self.plan.stall_timeout,
                     label=self._edge_label(edge_id, "consumer"),
                 )
@@ -464,7 +462,7 @@ class ProcessHost:
                 input_channel=self._channel(entry.inbound, channels),
                 output_channel=self._channel(entry.outbound, channels),
             )
-            self.segments.append(segment)
+            self.deployment.place(segment, self.plan.host)
 
     def _track(self, channel: SocketChannel) -> SocketChannel:
         self._sockets.append(channel)
@@ -478,7 +476,7 @@ class ProcessHost:
             # Co-located segments get the same bounded backpressure as a
             # socket edge; the consumer lives in this very worker, so the
             # producer's outbox throttling drains it, never deadlocks.
-            channels[edge_id] = QueueChannel(capacity=self.plan.channel_capacity)
+            channels[edge_id] = QueueChannel(capacity=CHANNEL_CAPACITY)
         return channels[edge_id]
 
     def _recv_control(self, expected: str):
@@ -502,73 +500,64 @@ class ProcessHost:
     def _io_bytes(self) -> int:
         return sum(ch.bytes_sent + ch.bytes_received for ch in self._sockets)
 
-    def _pump(self) -> None:
+    def _pump(self) -> list[str]:
+        """Step until every segment is done or nothing moved for
+        ``stall_timeout`` seconds; returns the segments still not done."""
         idle_deadline = time.monotonic() + self.plan.stall_timeout
         last_io = self._io_bytes()
         while True:
-            progressed = 0
-            for segment in self.segments:
-                self._current = segment.name
-                backlogged = segment.pending_output
-                progressed += segment.step(self.plan.batch_size)
-                progressed += max(0, backlogged - segment.pending_output)
+            moved = self.deployment.step_all()
             # A segment that finished with frames still queued never calls
             # put() again, and the blocking flush in run() waits for every
             # segment on this host — one of which may, via another host, be
-            # waiting for exactly those frames.  Bytes sent here count as
-            # progress through _io_bytes below.
-            self._current = "<flush>"
+            # waiting for exactly those frames.
             for channel in self._sockets:
                 channel.flush_nowait()
             io_bytes = self._io_bytes()
             if io_bytes != last_io:
-                progressed += 1
+                moved += 1
                 last_io = io_bytes
-            if all(s.finished and not s.pending_output for s in self.segments):
-                return
-            if progressed:
+            stuck = self.deployment.unfinished()
+            if not stuck or (not moved and time.monotonic() > idle_deadline):
+                return stuck
+            if moved:
                 idle_deadline = time.monotonic() + self.plan.stall_timeout
             else:
-                if time.monotonic() > idle_deadline:
-                    stuck = ", ".join(
-                        s.name
-                        for s in self.segments
-                        if not s.finished or s.pending_output
-                    )
-                    self._current = stuck
-                    raise PlacementError(
-                        f"host {self.plan.host!r} stalled: segments {stuck} made "
-                        f"no progress for {self.plan.stall_timeout:.1f}s"
-                    )
                 time.sleep(_IDLE_SLEEP)
 
     def run(self) -> None:
         """Worker entry point: wire, pump, flush, report."""
+        # What an error is blamed on unless a segment was mid-step.
+        blame = "<startup>"
         try:
             self._wire()
-            self._pump()
+            blame = "<flush>"
+            stuck = self._pump()
+            if stuck:
+                blame = ", ".join(stuck)
+                raise PlacementError(
+                    f"host {self.plan.host!r} stalled: segments {blame} made "
+                    f"no progress for {self.plan.stall_timeout:.1f}s"
+                )
             # Flush explicitly before closing: close() deliberately swallows
             # a failed flush (it is also the emergency-teardown path), but a
             # worker that could not deliver its tail records must report the
             # failure, not claim "done" over silently dropped output.  The
             # ChannelSendError's edge label names the segments involved.
-            self._current = "<flush>"
             for channel in self._sockets:
                 channel.flush()
             for channel in self._sockets:
                 channel.close()
-            self.conn.send(
-                ("done", {s.name: s.records_processed for s in self.segments})
-            )
+            segments = self.deployment.segments.values()
+            self.conn.send(("done", {s.name: s.records_processed for s in segments}))
         except BaseException as exc:  # noqa: BLE001 - reported to the parent
-            failing = self._current or "<startup>"
             try:
                 self.conn.send(
                     (
                         "error",
                         {
                             "host": self.plan.host,
-                            "segment": failing,
+                            "segment": self.deployment.stepping or blame,
                             "message": f"{type(exc).__name__}: {exc}",
                             "traceback": traceback.format_exc(),
                         },
@@ -639,11 +628,8 @@ class ProcessDeployment:
         segments: Iterable[PipelineSegment],
         placement: Mapping[str, str],
         *,
-        channel_capacity: int = 256,
         connect_timeout: float = 10.0,
         stall_timeout: float = 60.0,
-        batch_size: int = 64,
-        start_method: str | None = None,
     ) -> None:
         self.segments = list(segments)
         if not self.segments:
@@ -654,13 +640,8 @@ class ProcessDeployment:
             raise PlacementError(
                 f"placement is missing hosts for segments: {', '.join(missing)}"
             )
-        if channel_capacity < 1:
-            raise ValueError(f"channel_capacity must be >= 1, got {channel_capacity}")
-        self.channel_capacity = channel_capacity
         self.connect_timeout = connect_timeout
         self.stall_timeout = stall_timeout
-        self.batch_size = batch_size
-        self.start_method = start_method or _start_method()
         #: host name -> live worker process (populated by :meth:`run`; tests
         #: use it to kill a specific worker mid-stream).
         self.processes: dict[str, multiprocessing.process.BaseProcess] = {}
@@ -715,10 +696,8 @@ class ProcessDeployment:
             host: HostPlan(
                 host=host,
                 entries=tuple(entries),
-                channel_capacity=self.channel_capacity,
                 connect_timeout=self.connect_timeout,
                 stall_timeout=self.stall_timeout,
-                batch_size=self.batch_size,
             )
             for host, entries in plans.items()
         }
@@ -726,7 +705,7 @@ class ProcessDeployment:
     # -- lifecycle -------------------------------------------------------------
 
     def _launch(self, plans: dict[str, HostPlan]) -> None:
-        ctx = multiprocessing.get_context(self.start_method)
+        ctx = multiprocessing.get_context(_start_method())
         for host, plan in plans.items():
             parent_conn, child_conn = ctx.Pipe()
             process = ctx.Process(
@@ -784,7 +763,6 @@ class ProcessDeployment:
             self._fail(f"could not connect the record feed: {exc}")
         self._feed = SocketChannel(
             feed_sock,
-            capacity=self.channel_capacity,
             timeout=self.stall_timeout,
             label=f"{edges[0].edge_id} (deployment feed)",
         )
@@ -901,6 +879,12 @@ class ProcessDeployment:
         """
         edges = self._edges()
         outputs: list[Record] = []
+        # Per-run state starts clean: segments are pickled afresh by _plans
+        # and the parent's copies are never stepped, so a deployment can run
+        # again — but never against the previous run's workers and sockets.
+        self._workers.clear()
+        self.processes.clear()
+        self._feed = self._collect = None
         try:
             self._launch(self._plans(edges))
             self._handshake(edges)

@@ -252,6 +252,97 @@ class TestDeployment:
         assert any(event == "relocate" for event, _ in deployment.events)
 
 
+class TestDoneAndStalled:
+    """One notion of done (finished *and* delivered) and one stall report."""
+
+    def test_finished_waits_for_a_held_back_end_of_stream(self, rng):
+        """Regression: a segment that read END_OF_STREAM while its bounded
+        output channel was full is FINISHED with the marker still in its
+        outbox; ``Deployment.finished`` said True and a caller following
+        ``run``'s docstring stopped with the stream's end undelivered."""
+        deployment = Deployment(hosts={"only": Host("only")})
+        segment = PipelineSegment(
+            name="tail", pipeline=Pipeline([PassThrough()]),
+            input_channel=QueueChannel(), output_channel=QueueChannel(capacity=1),
+        )
+        deployment.place(segment, "only")
+        segment.input_channel.put(data_record(np.zeros(4)))
+        segment.input_channel.put(end_of_stream())
+        deployment.run()
+        assert segment.finished and not segment.done
+        assert segment.pending_output == 1
+        assert not deployment.finished
+        assert deployment.unfinished() == ["tail"]
+        assert "tail (on only)" in str(deployment.stall_error())
+        outputs = list(segment.drain_output())
+        deployment.run()
+        outputs.extend(segment.drain_output())
+        assert deployment.finished
+        assert [r.is_end for r in outputs] == [False, True]
+
+    def test_stopped_segment_strands_itself_and_everything_downstream(self, rng):
+        """A ``stop()``ped segment never resumed, stream fed to its end:
+        ``run`` returns (a resume could still move it), but it and every
+        segment downstream are unfinished and the stall report names each
+        with its host."""
+        deployment = Deployment(hosts={"a": Host("a"), "b": Host("b")})
+        chain = []
+        upstream = QueueChannel()
+        for name in ("head", "paused", "after", "last"):
+            segment = PipelineSegment(
+                name=name, pipeline=Pipeline([PassThrough()]),
+                input_channel=upstream, output_channel=QueueChannel(),
+            )
+            deployment.place(segment, "a" if name in ("head", "after") else "b")
+            chain.append(segment)
+            upstream = segment.output_channel
+        for record in clip_like_stream(rng, clips=1):
+            chain[0].input_channel.put(record)
+        chain[1].stop()
+        deployment.run()
+        assert chain[0].done
+        assert deployment.unfinished() == ["paused", "after", "last"]
+        assert not deployment.finished
+        message = str(deployment.stall_error())
+        assert "stalled" in message
+        for where in ("paused (on b)", "after (on a)", "last (on b)"):
+            assert where in message
+        assert "head" not in message
+        chain[1].resume()
+        deployment.run()
+        assert deployment.finished
+        assert validate_stream(list(chain[-1].drain_output())) == []
+
+    def test_run_names_every_unfinished_segment_when_a_host_is_down(self, rng):
+        deployment = Deployment(hosts={"up": Host("up"), "down": Host("down")})
+        first = PipelineSegment(
+            name="first", pipeline=Pipeline([PassThrough()]),
+            input_channel=QueueChannel(), output_channel=QueueChannel(),
+        )
+        second = PipelineSegment(
+            name="second", pipeline=Pipeline([PassThrough()]),
+            input_channel=first.output_channel, output_channel=QueueChannel(),
+        )
+        deployment.place(first, "down")
+        deployment.place(second, "up")
+        for record in clip_like_stream(rng, clips=1):
+            first.input_channel.put(record)
+        deployment.hosts["down"].available = False
+        with pytest.raises(PlacementError) as error:
+            deployment.run()
+        message = str(error.value)
+        assert "first (on down, unavailable)" in message
+        assert "second (on up)" in message
+
+    def test_removed_fabric_options_are_type_errors(self):
+        with pytest.raises(TypeError):
+            Deployment(reference_speed=500.0)
+        with pytest.raises(TypeError):
+            Deployment().run(max_rounds=10)
+        with pytest.raises(TypeError):
+            QoSMonitor().recommend(Deployment(), spread_groups=False)
+
+
 class TestFaultInjection:
     def test_fault_injector_crashes_after_limit(self, rng):
         injector = FaultInjector(crash_after=3)

@@ -41,7 +41,12 @@ from repro.river import (
 from repro.river.operator_base import PassThrough, ensure_end_of_stream
 from repro.river.operators import ClipSource, SubtypeFilter
 from repro.river.pipeline import Pipeline, PipelineSegment
-from repro.river.transport import ProcessDeployment, SocketChannel, transport_available
+from repro.river.transport import (
+    HostPlan,
+    ProcessDeployment,
+    SocketChannel,
+    transport_available,
+)
 from repro.synth import ClipBuilder, get_species
 
 pytestmark = pytest.mark.skipif(
@@ -549,6 +554,56 @@ class TestTransportFaults:
         assert "host 'h1' failed in segment 'starved'" in message
         assert "segments starved made no progress" in message
         assert "<startup>" not in message
+
+    def test_operator_crash_is_blamed_on_the_segment_being_stepped(self):
+        """An operator raising inside a worker is reported against the
+        segment whose turn it was, not the host's first or last one."""
+        from repro.river import FaultInjector
+
+        segments = [
+            PipelineSegment("head", Pipeline([PassThrough()], name="head")),
+            PipelineSegment(
+                "crashy", Pipeline([FaultInjector(crash_after=3)], name="crashy")
+            ),
+            PipelineSegment("tail", Pipeline([PassThrough()], name="tail")),
+        ]
+        placement = {"head": "h0", "crashy": "h0", "tail": "h1"}
+        records = [data_record(np.zeros(4), sequence=i) for i in range(10)]
+        with pytest.raises(PlacementError) as error:
+            ProcessDeployment(segments, placement, stall_timeout=5.0).run(
+                ensure_end_of_stream(records)
+            )
+        message = str(error.value)
+        assert "host 'h0' failed in segment 'crashy'" in message
+        assert "SegmentCrash" in message
+
+    def test_a_deployment_can_run_twice(self):
+        """Regression: the second ``run()`` polled the first run's closed
+        control pipes (raw ``OSError: handle is closed``)."""
+        segments = [
+            PipelineSegment(f"p{i}", Pipeline([PassThrough()], name=f"p{i}"))
+            for i in range(4)
+        ]
+        placement = {"p0": "h0", "p1": "h1", "p2": "h0", "p3": "h1"}
+        records = [data_record(np.full(8, float(i)), sequence=i) for i in range(20)]
+        deployment = ProcessDeployment(segments, placement, stall_timeout=5.0)
+        first = deployment.run(ensure_end_of_stream(records))
+        second = deployment.run(ensure_end_of_stream(records))
+        assert len(first) == len(second) == len(records) + 1
+        for a, b in zip(first, second):
+            assert_records_equal(a, b)
+
+    def test_removed_fabric_options_are_type_errors(self, trained_builder):
+        segment = PipelineSegment("p", Pipeline([PassThrough()], name="p"))
+        for removed in ("channel_capacity", "batch_size", "start_method"):
+            with pytest.raises(TypeError):
+                ProcessDeployment([segment], {"p": "h"}, **{removed: 1})
+        for removed in ("loopback", "channel_capacity", "batch_size"):
+            with pytest.raises(TypeError):
+                HostPlan(host="h", entries=(), **{removed: 1})
+        for removed in ("channel_capacity", "sample_rate"):
+            with pytest.raises(TypeError):
+                deploy_clips_via_river(trained_builder, [], **{removed: 1})
 
     def test_missing_placement_rejected(self, trained_builder):
         segments = split_into_segments(trained_builder.to_river())
