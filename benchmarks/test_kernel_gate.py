@@ -1,10 +1,12 @@
-"""Performance gate for the vectorised chunk kernels.
+"""Performance gate for the vectorised chunk kernels and the trigger kernel.
 
-Asserts that the vectorised kernels keep their measured advantage over the
-scalar seed implementations they replaced — a same-box relative comparison,
-so the gate is robust to how fast the machine itself is.  Each threshold is
-a named constant below, with the ratio measured when the kernel landed
-(2026-08-08, one-core CI-class container) as its reason.
+Asserts that the vectorised kernels and the scalar trigger kernel keep
+their measured advantage over the seed implementations they replaced — a
+same-box relative comparison, so the gate is robust to how fast the machine
+itself is.  Each threshold is a named constant below, with the ratio
+measured when the kernel landed as its reason (2026-08-08, one-core
+CI-class container, for the chunk kernels; a two-core container for the
+trigger kernel).
 
 Timing assertions are inherently noisy, so the gate only runs when
 ``PERF_GATE=1`` is set (CI runs it as a dedicated tier-2 job; it is
@@ -21,10 +23,13 @@ import time
 import numpy as np
 import pytest
 
+from repro import FAST_EXTRACTION, AcousticPipeline, ClipBuilder
+from repro.core.trigger import AdaptiveTrigger
+from repro.pipeline import ExtractStage
 from repro.timeseries.bitmap import windowed_code_counts
 from repro.timeseries.paa import paa
 
-from _seed_anchors import seed_paa, seed_window_counts
+from _seed_anchors import SeedAdaptiveTrigger, seed_paa, seed_window_counts
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("PERF_GATE") != "1",
@@ -103,4 +108,40 @@ def test_fractional_paa_speedup_holds():
         f"fractional PAA speedup regressed: {speedup:.2f}x < "
         f"{PAA_FRACTIONAL_MIN_SPEEDUP}x "
         f"(new {new_time * 1e6:.1f}us, seed {seed_time * 1e6:.1f}us)"
+    )
+
+
+# ~10× whole and ~7–10× chunked at landing (two-core container); 5× leaves
+# room for a loaded runner.
+TRIGGER_KERNEL_MIN_SPEEDUP = 5.0
+
+
+@pytest.mark.parametrize("chunk", [None, 512], ids=["whole", "chunks512"])
+def test_trigger_kernel_speedup_holds(chunk):
+    """The adaptive trigger over the FAST_EXTRACTION score stream of a 6 s
+    clip: the scalar kernel vs one seed ``update()`` call per sample."""
+    clip = ClipBuilder(sample_rate=16000, duration=6.0).build(
+        ["NOCA", "TUTI"], np.random.default_rng(0)
+    )
+    scores = AcousticPipeline().extract(FAST_EXTRACTION).build().run(clip).anomaly_scores
+    settle = ExtractStage(FAST_EXTRACTION).settle
+    parts = [scores] if chunk is None else np.array_split(
+        scores, range(chunk, scores.size, chunk)
+    )
+
+    def run(trigger_class):
+        trigger = trigger_class(FAST_EXTRACTION.trigger, settle=settle)
+        return [trigger.apply(part) for part in parts]
+
+    np.testing.assert_array_equal(
+        np.concatenate(run(AdaptiveTrigger)), np.concatenate(run(SeedAdaptiveTrigger))
+    )
+
+    new_time = best_of(lambda: run(AdaptiveTrigger), repeats=5, iters=3)
+    seed_time = best_of(lambda: run(SeedAdaptiveTrigger), repeats=5, iters=1)
+    speedup = seed_time / new_time
+    assert speedup >= TRIGGER_KERNEL_MIN_SPEEDUP, (
+        f"trigger kernel speedup regressed: {speedup:.2f}x < "
+        f"{TRIGGER_KERNEL_MIN_SPEEDUP}x "
+        f"(new {new_time * 1e3:.1f}ms, seed {seed_time * 1e3:.1f}ms)"
     )

@@ -118,6 +118,11 @@ class ExtractStage(Stage):
     (oldest chunks are dropped with a one-time warning; ``traces()`` then
     returns a suffix of the stream whose absolute start is
     :attr:`trace_offset`), or ``keep_traces=False`` to keep none.
+
+    Input must be finite: a NaN or infinite sample would poison the running
+    normaliser and the trigger baseline for the rest of the stream, so
+    :meth:`process` raises :class:`ValueError` naming its absolute stream
+    index instead.
     """
 
     name = "extract"
@@ -254,9 +259,16 @@ class ExtractStage(Stage):
     def process(self, event: PipelineEvent) -> list[PipelineEvent]:
         if not isinstance(event, SignalChunk):
             return [event]
+        samples = event.samples
+        finite = np.isfinite(samples)
+        if not finite.all():
+            first = int(np.argmin(finite))
+            raise ValueError(
+                f"non-finite audio sample ({samples[first]}) at stream index "
+                f"{self._samples_seen + first}; extraction needs finite samples"
+            )
         if self.normalization == "global":
             return self._process_global(event)
-        samples = event.samples
         scores = self._scorer.process(samples)
         trigger = self._trigger.apply(scores)
         self._record_traces(scores, trigger)

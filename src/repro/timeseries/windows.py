@@ -8,6 +8,7 @@ primitives in a streaming-friendly way (O(1) per sample, bounded memory).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +71,8 @@ class RunningStats:
     standard deviation of everything observed.  With a forgetting factor in
     (0, 1] the estimate adapts to drift, which mirrors the "incrementally
     computes an estimate of the mean anomaly score" behaviour of the paper's
-    adaptive trigger.
+    adaptive trigger.  ``AdaptiveTrigger.apply`` inlines :meth:`update` and
+    :attr:`std` in its scalar loop: a change here must be made there too.
     """
 
     forgetting: float | None = None
@@ -106,7 +108,7 @@ class RunningStats:
 
     @property
     def std(self) -> float:
-        return float(np.sqrt(max(self.variance, 0.0)))
+        return math.sqrt(max(self.variance, 0.0))
 
     def reset(self) -> None:
         self.count = 0

@@ -1,12 +1,14 @@
 """Seed implementations kept verbatim as parity anchors — the one copy.
 
-The kernels (``seed_paa``, ``seed_window_counts``) and the wire codec
-(``seed_pack_record`` … ``SeedRecordFrameDecoder``) are what the vectorised
-kernels and the zero-copy wire path replaced.  The parity suites in
+The kernels (``seed_paa``, ``seed_window_counts``), the per-sample adaptive
+trigger (``SeedAdaptiveTrigger``) and the wire codec (``seed_pack_record``
+… ``SeedRecordFrameDecoder``) are what the vectorised kernels, the scalar
+trigger kernel and the zero-copy wire path replaced.  The parity suites in
 ``tests/`` compare against them bit for bit and the perf gates in
 ``benchmarks/`` time them as the baseline (``benchmarks/conftest.py`` puts
-this directory on ``sys.path``).  They carry their own wire constants so a
-change to ``repro.river.serialization`` cannot move the anchor with it.
+this directory on ``sys.path``).  They carry their own wire constants and
+running statistics so a change to ``repro.river.serialization`` or
+``repro.timeseries.windows`` cannot move the anchor with it.
 Never edit them to follow a change in ``src``.
 """
 
@@ -14,9 +16,11 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.config import TriggerConfig
 from repro.river import Record, RecordType
 
 # -- seed kernels ---------------------------------------------------------------
@@ -61,6 +65,111 @@ def seed_window_counts(codes, ends, lead_starts, lag_starts, n_codes):
         lead_counts[:, code] = at_end - at_lead
         lag_counts[:, code] = at_lead - at_lag
     return lead_counts, lag_counts
+
+
+# -- seed adaptive trigger ------------------------------------------------------
+
+
+@dataclass
+class SeedRunningStats:
+    """The seed ``RunningStats`` (Welford, optional forgetting, ``np.sqrt``)."""
+
+    forgetting: float | None = None
+    count: int = 0
+    mean: float = 0.0
+    _m2: float = 0.0
+
+    def update(self, value: float) -> None:
+        value = float(value)
+        if self.forgetting is None:
+            self.count += 1
+            delta = value - self.mean
+            self.mean += delta / self.count
+            self._m2 += delta * (value - self.mean)
+        else:
+            alpha = self.forgetting
+            if self.count == 0:
+                self.mean = value
+                self._m2 = 0.0
+            else:
+                delta = value - self.mean
+                self.mean += alpha * delta
+                self._m2 = (1.0 - alpha) * (self._m2 + alpha * delta * delta)
+            self.count += 1
+
+    @property
+    def variance(self) -> float:
+        if self.count == 0:
+            return 0.0
+        if self.forgetting is None:
+            return self._m2 / self.count
+        return self._m2
+
+    @property
+    def std(self) -> float:
+        return float(np.sqrt(max(self.variance, 0.0)))
+
+
+@dataclass
+class SeedAdaptiveTrigger:
+    """The seed ``AdaptiveTrigger``: one ``update`` call per score sample."""
+
+    config: TriggerConfig = field(default_factory=TriggerConfig)
+    settle: int | None = None
+
+    def __post_init__(self) -> None:
+        self._baseline = SeedRunningStats(forgetting=self.config.forgetting)
+        self._state = 0
+        self._hang_remaining = 0
+        self._seen = 0
+        self._settle = self.config.settle if self.settle is None else self.settle
+        if self._settle < 0:
+            raise ValueError(f"settle must be >= 0, got {self._settle}")
+
+    @property
+    def baseline_std(self) -> float:
+        return self._baseline.std
+
+    def threshold(self) -> float:
+        return self._baseline.mean + self.config.threshold_sigmas * self._baseline.std
+
+    def update(self, score: float) -> int:
+        """Push one anomaly score and return the trigger value (0 or 1)."""
+        score = float(score)
+        self._seen += 1
+        if self._seen <= self._settle:
+            # The score is still ramping up from the empty SAX windows and
+            # moving average; it carries no information about the baseline.
+            return 0
+        warmed = self._baseline.count >= self.config.warmup
+        fires = False
+        if warmed and self._baseline.std > 0:
+            fires = score > self.threshold()
+
+        if fires:
+            self._state = 1
+            self._hang_remaining = self.config.hangover
+        else:
+            if self._state == 1 and self._hang_remaining > 0:
+                self._hang_remaining -= 1
+            else:
+                self._state = 0
+        if self._state == 0 and self._passes_baseline_gate(score, warmed):
+            # Baseline adapts only while the trigger is low.
+            self._baseline.update(score)
+        return self._state
+
+    def _passes_baseline_gate(self, score: float, warmed: bool) -> bool:
+        """True when ``score`` may be folded into the baseline estimate."""
+        gate = self.config.baseline_gate_sigmas
+        if gate is None or not warmed or self._baseline.std <= 0:
+            return True
+        return score <= self._baseline.mean + gate * self._baseline.std
+
+    def apply(self, scores: np.ndarray) -> np.ndarray:
+        """Run the trigger over a whole score array, returning 0/1 values."""
+        arr = np.asarray(scores, dtype=float).ravel()
+        return np.fromiter((self.update(s) for s in arr), dtype=np.int8, count=arr.size)
 
 
 # -- seed wire codec ------------------------------------------------------------
