@@ -166,7 +166,8 @@ def build_experiment_data(
     bit-identical ensembles, so the tables do not depend on the choice.
 
     ``store`` persists the validated (labelled) ensembles and the sample
-    accounting to a feature store as extraction completes;
+    accounting to a feature store as extraction completes, clip ``i`` as
+    recording ``recording_name(i)`` (a store that already holds it raises);
     ``from_store`` skips corpus generation and extraction entirely,
     replaying a store written that way — the resulting data sets are
     bit-identical to the extract-from-raw path.
@@ -210,16 +211,13 @@ def build_experiment_data(
         results = pipeline.run_corpus(
             corpus.clips, backend=backend, workers=workers, ledger=ledger
         )
-        writer = None
-        owned = False
-        if store is not None:
-            from ..store.writer import coerce_writer
+        from ..store.schema import recording_name
+        from ..store.writer import open_writer
 
-            writer, owned = coerce_writer(store)
         ensembles = []
         total = 0
         retained = 0
-        try:
+        with open_writer(store) as writer:
             for index, (clip, result) in enumerate(zip(corpus.clips, results)):
                 if result is None:  # quarantined by the ledger: excluded
                     continue
@@ -229,16 +227,13 @@ def build_experiment_data(
                 ensembles.extend(labelled)
                 if writer is not None:
                     writer.write_ensembles(
-                        f"rec-{index:05d}",
+                        recording_name(index),
                         labelled,
                         sample_rate=clip.sample_rate,
                         total_samples=result.total_samples,
                         station=clip.station_id,
                         meta={"retained_samples": int(result.retained_samples)},
                     )
-        finally:
-            if writer is not None:
-                writer.close() if owned else writer.flush()
 
     data = ExperimentData(
         scale=scale,

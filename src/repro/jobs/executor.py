@@ -27,23 +27,24 @@ Store discipline: the runner opens its writer with an effectively
 unbounded flush budget and flushes explicitly once per item, so shard
 files always cut at item boundaries.  A crash mid-item therefore leaves
 *nothing* of that item durable — resume re-runs it cleanly — rather than
-a partial recording whose re-append would duplicate rows.
+a partial recording, which the write-once store would refuse to take again.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from contextlib import ExitStack
 
 from ..pipeline.builder import PipelineBuildError
 from ..pipeline.executor import (
     CorpusExecutionError,
     CorpusExecutor,
     Dispatcher,
-    close_store,
     corpus_failure,
     describe_source,
     persist_result,
+    stored_recordings,
 )
 from .ledger import DONE, Ledger, LedgerConfig, LedgerError
 
@@ -53,7 +54,7 @@ __all__ = ["run_corpus", "coerce_ledger"]
 #: exactly once per completed item, so partially-run items are never
 #: durable.  (One item's rows are buffered in memory — the same order of
 #: magnitude as the item's PipelineResult itself.)
-_NO_AUTO_FLUSH = 2**62
+NO_AUTO_FLUSH = 2**62
 
 
 def coerce_ledger(
@@ -128,38 +129,26 @@ def run_corpus(
     # its poison item instead of wedging forever).
     book.recover_busy()
 
-    writer, owned_writer = open_runner_store(store)
-    aborted = False
+    from ..store.writer import open_writer
+
     features = executor._has_stage("features")
-    try:
-        _reconcile_with_store(book, writer, results)
-        _drain(executor, book, items, sample_rate, writer, features, results, worker_id)
-    except CorpusExecutionError:
-        # A persist failure aborted the run (see _settle): the writer's
-        # buffer may hold rows for items the ledger recorded as *failed* —
-        # flushing them would persist results the ledger disowns (and on a
-        # genuinely full disk would raise again, masking the real error).
-        # Drop the buffer; everything flushed before the failure is intact.
-        aborted = True
-        raise
-    finally:
-        if not aborted:
-            close_store(writer, owned_writer)
+    with ExitStack() as stack:
+        writer = stack.enter_context(open_writer(store, flush_values=NO_AUTO_FLUSH))
+        try:
+            _reconcile_with_store(book, writer, results)
+            _drain(executor, book, items, sample_rate, writer, features, results, worker_id)
+        except CorpusExecutionError:
+            # A persist failure aborted the run (see _settle): the writer's
+            # buffer may hold rows for items the ledger recorded as *failed*
+            # — flushing them would persist results the ledger disowns (and
+            # on a genuinely full disk would fail again).  Leave the writer
+            # unflushed; everything flushed before the failure is intact.
+            stack.pop_all()
+            raise
     return results
 
 
 # -- store recovery ------------------------------------------------------------
-
-
-def open_runner_store(store):
-    """``(writer, owned)`` for a run's ``store=`` (``(None, False)`` without
-    one), opened with auto-flush disabled (see module docstring); a live
-    writer passed in is used as-is."""
-    from ..store.writer import StoreWriter
-
-    if store is None or isinstance(store, StoreWriter):
-        return store, False
-    return StoreWriter(store, flush_values=_NO_AUTO_FLUSH), True
 
 
 def persist_item(writer, recording: str, item, result, features: bool) -> None:
@@ -167,6 +156,15 @@ def persist_item(writer, recording: str, item, result, features: bool) -> None:
     item done afterwards reports something durable."""
     persist_result(writer, recording, item, result, features)
     writer.flush()
+
+
+def partial_write_reason(recording: str) -> str:
+    """Why an item whose recording the store holds in part is quarantined."""
+    return (
+        f"store holds a partial write for recording {recording!r}; appending again would "
+        "duplicate its rows — rewrite the store (e.g. a from_store= sweep into a fresh path) "
+        "and reopen this item"
+    )
 
 
 def _reconcile_with_store(book: Ledger, writer, results: list) -> None:
@@ -182,40 +180,25 @@ def _reconcile_with_store(book: Ledger, writer, results: list) -> None:
     * a ``done`` row missing from the store lost its durability (the
       store was moved or truncated) — reopen it;
     * a non-terminal row whose recording is *incomplete* (partial rows on
-      disk) cannot be re-appended without duplicating ensembles — the
-      append-only store has no row delete — so quarantine it with an
-      explanation rather than corrupt the output.
+      disk) is quarantined: the write-once store would refuse it.
 
     Results of every (now-)done row are rebuilt from the store, so resume
     returns them without re-extraction.
     """
-    from ..store.reader import StoreReader
-    from ..store.schema import MANIFEST_NAME
-
-    if writer is None or not (writer.path / MANIFEST_NAME).exists():
-        for row in book.rows:
-            if row.state == DONE:
-                book.reopen(row.index)
-        return
-    reader = StoreReader(writer.path)
-    incomplete = set(reader.incomplete()["recordings"])
-    present = set(reader.recordings())
-    complete = present - incomplete
+    complete, partial = stored_recordings(writer)
     for row in book.rows:
         if row.state == DONE and row.recording not in complete:
             book.reopen(row.index)
         elif not row.terminal and row.recording in complete:
             book.adopt_done(row.index)
-        elif not row.terminal and row.recording in incomplete:
-            book.quarantine(
-                row.index,
-                f"store holds a partial write for recording {row.recording!r}; "
-                "appending again would duplicate its rows — rewrite the store "
-                "(e.g. a from_store= sweep into a fresh path) and reopen this "
-                "item",
-            )
-    for row in book.rows:
-        if row.state == DONE:
+        elif not row.terminal and row.recording in partial:
+            book.quarantine(row.index, partial_write_reason(row.recording))
+    done = [row for row in book.rows if row.state == DONE]
+    if done:
+        from ..store.reader import StoreReader
+
+        reader = StoreReader(writer.path)
+        for row in done:
             results[row.index] = reader.result(row.recording)
 
 

@@ -114,12 +114,6 @@ class LedgerConfig:
         )
 
 
-def default_recording_name(index: int) -> str:
-    """The store recording name for corpus item ``index`` (matches the
-    ``recordings=`` default of :meth:`repro.pipeline.executor.CorpusExecutor.run`)."""
-    return f"rec-{index:05d}"
-
-
 class Ledger:
     """A file-backed, atomically-rewritten corpus job ledger."""
 
@@ -147,7 +141,9 @@ class Ledger:
             raise LedgerError(f"ledger already exists at {path}; open it instead")
         config = config or LedgerConfig()
         if recordings is None:
-            recordings = [default_recording_name(i) for i in range(len(sources))]
+            from ..store.schema import recording_name
+
+            recordings = [recording_name(i) for i in range(len(sources))]
         if len(recordings) != len(sources):
             raise LedgerError(
                 f"recordings names {len(recordings)} must match sources {len(sources)}"
@@ -271,19 +267,6 @@ class Ledger:
         deadlines = [row.not_before for row in self.rows if row.state == FAILED]
         deadlines += [row.lease_expires for row in self.rows if row.state == BUSY]
         return min(deadlines) if deadlines else None
-
-    def claimable(self, now: float | None = None) -> list[LedgerRow]:
-        """Rows a worker could claim right now (lapsed leases included)."""
-        now = time.time() if now is None else now
-        out = []
-        for row in self.rows:
-            if row.state == OPEN:
-                out.append(row)
-            elif row.state == FAILED and row.not_before <= now:
-                out.append(row)
-            elif row.state == BUSY and row.lease_expires <= now:
-                out.append(row)
-        return out
 
     # -- mutations -------------------------------------------------------------
     #
@@ -418,23 +401,6 @@ class Ledger:
             row.not_before = now + self.config.backoff(row.attempts)
         self.save()
         return row
-
-    def release(self, index: int, now: float | None = None) -> None:
-        """Return a ``busy`` row to ``open`` without charging an attempt.
-
-        For orderly hand-backs (a worker shutting down cleanly, a runner
-        aborting on a store error) — involuntary losses go through lease
-        lapse instead, which does charge an attempt.
-        """
-        now = time.time() if now is None else now
-        row = self.row(index)
-        if row.state != BUSY:
-            raise LedgerError(f"cannot release item {index}: state is {row.state!r}")
-        row.state = OPEN
-        row.worker = ""
-        row.lease_expires = 0.0
-        row.updated = now
-        self.save()
 
     def recover_busy(self, now: float | None = None) -> list[LedgerRow]:
         """Reopen every ``busy`` row regardless of lease, charging an attempt.

@@ -31,8 +31,10 @@ import urllib.error
 import urllib.request
 
 from ..pipeline.builder import AcousticPipeline
-from ..pipeline.executor import close_store
-from .executor import open_runner_store, persist_item
+from ..pipeline.executor import stored_recordings
+from ..store.backends import StoreError
+from ..store.writer import open_writer
+from .executor import NO_AUTO_FLUSH, partial_write_reason, persist_item
 
 __all__ = ["JobWorker", "WorkerError", "ControlPlaneConflict"]
 
@@ -77,9 +79,8 @@ class JobWorker:
 
         Returns the number of items this worker completed.
         """
-        writer, owned = open_runner_store(self.store)
         features = any(stage.name == "features" for stage in self.pipeline.stages)
-        try:
+        with open_writer(self.store, flush_values=NO_AUTO_FLUSH) as writer:
             while max_items is None or (self.completed + self.failed) < max_items:
                 reply = self._post("/claim", {"worker": self.worker_id})
                 item = reply.get("item")
@@ -89,8 +90,6 @@ class JobWorker:
                     time.sleep(min(float(reply.get("retry_after", self.poll)), self.poll))
                     continue
                 self._process(item, float(reply.get("lease", 60.0)), writer, features)
-        finally:
-            close_store(writer, owned)
         return self.completed
 
     def _process(self, item: dict, lease: float, writer, features: bool) -> None:
@@ -98,9 +97,10 @@ class JobWorker:
         beat = _Heartbeat(self, index, lease)
         beat.start()
         try:
-            result = self.pipeline.run(item["source"], sample_rate=self.sample_rate)
-            if writer is not None:
-                persist_item(writer, item["recording"], item["source"], result, features)
+            if not _already_persisted(writer, item["recording"]):
+                result = self.pipeline.run(item["source"], sample_rate=self.sample_rate)
+                if writer is not None:
+                    persist_item(writer, item["recording"], item["source"], result, features)
         except Exception as exc:
             beat.stop()
             self.failed += 1
@@ -154,6 +154,17 @@ class JobWorker:
             raise WorkerError(
                 f"control plane unreachable at {self.url + path}: {exc.reason}"
             ) from exc
+
+
+def _already_persisted(writer, recording: str) -> bool:
+    """True when the store holds ``recording`` complete: its last holder
+    flushed it and died before reporting, so report it done, as the ledgered
+    runner adopts such a row.  A partial one fails the item towards
+    quarantine: the write-once store would refuse it anyway."""
+    complete, partial = stored_recordings(writer)
+    if recording in partial:
+        raise StoreError(partial_write_reason(recording))
+    return recording in complete
 
 
 class _Heartbeat(threading.Thread):

@@ -289,7 +289,6 @@ class BuiltPipeline:
             raise PipelineBuildError("a built pipeline needs at least one stage")
         self.stages = list(stages)
         self.spec = spec
-        self._store_run_counter = 0
         # Tell store stages whether a features stage precedes them, so the
         # stored n_patterns column can distinguish "no feature stage ran"
         # (-1) from "features ran and found nothing" (0) on fragment streams.
@@ -374,9 +373,9 @@ class BuiltPipeline:
         iterables (clips and WAV files carry their own).
 
         ``store`` persists the result into a feature store — a directory
-        path or an open :class:`~repro.store.StoreWriter` — under
-        ``recording`` (auto-numbered when omitted); ``station`` defaults to
-        the source's ``station_id`` when it has one.
+        path or an open :class:`~repro.store.StoreWriter` — as the new
+        recording ``recording`` (a held name raises; omitted, the writer
+        names it); ``station`` defaults to the source's ``station_id``.
         """
         chunks, rate = self._coerce_source(source, sample_rate)
         events = list(self._execute(chunks, rate))
@@ -397,25 +396,13 @@ class BuiltPipeline:
         return result
 
     def _persist_result(self, store, result, source, recording, station) -> None:
-        from ..store.writer import coerce_writer
+        from ..store.writer import open_writer
 
-        writer, owned = coerce_writer(store)
-        try:
-            name = recording
-            if name is None:
-                while True:
-                    name = f"rec-{self._store_run_counter:05d}"
-                    self._store_run_counter += 1
-                    if not writer.has_recording(name):
-                        break
-            if station is None:
-                station = str(getattr(source, "station_id", "") or "")
-            features = any(stage.name == "features" for stage in self.stages)
-            writer.write_result(name, result, station=station, features=features)
-            writer.flush()
-        finally:
-            if owned:
-                writer.close()
+        if station is None:
+            station = str(getattr(source, "station_id", "") or "")
+        features = any(stage.name == "features" for stage in self.stages)
+        with open_writer(store) as writer:
+            writer.write_result(recording, result, station=station, features=features)
 
     def run_from_store(
         self, store, recording: str, sample_rate: int | None = None
@@ -635,30 +622,20 @@ def _run_corpus(
     if isinstance(pipeline, AcousticPipeline):
         pipeline = pipeline.build()
     from ..store.reader import coerce_reader
-    from ..store.writer import StoreError, coerce_writer
+    from ..store.writer import open_writer
 
     reader = coerce_reader(from_store)
     names = list(recordings) if recordings is not None else reader.recordings()
     if store is None:
         return [pipeline.run_from_store(reader, name, sample_rate=sample_rate) for name in names]
-    # Read → enrich → persist sweep: replay each recording and write
-    # the enriched result (e.g. patterns, labels) to a second store.
-    writer, owned = coerce_writer(store)
-    try:
-        if writer.path.resolve() == reader.path.resolve():
-            raise StoreError(
-                "from_store= and store= point at the same store; "
-                "appending a sweep's output onto its own input would "
-                "duplicate every ensemble row — write to a new path"
-            )
+    # Read → enrich → persist sweep: replay each recording and write the
+    # enriched result (e.g. patterns, labels) to a second store — never to
+    # the input store, whose recordings are already written.
+    with open_writer(store) as writer:
         results = []
         for name in names:
             result = pipeline.run_from_store(reader, name, sample_rate=sample_rate)
             info = reader.recording_info(name)
             writer.write_result(name, result, station=info.station)
             results.append(result)
-        writer.flush()
-    finally:
-        if owned:
-            writer.close()
     return results

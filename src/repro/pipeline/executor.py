@@ -68,10 +68,11 @@ class CorpusExecutionError(RuntimeError):
     The ``completed`` contract is strict on every backend: an index is
     appended only *after* its ``store=`` persist call returned, so a
     persist failure (full disk, bad shard) never reports the item it was
-    persisting as completed.  Persist failures are themselves wrapped in
-    this exception with ``index``/``source``/``completed`` intact, so the
-    resume seed survives store errors as well as pipeline errors.  The
-    durable job layer built on top of this contract lives in
+    persisting as completed, and a failed closing flush narrows it to the
+    recordings the store holds complete.  Persist failures are themselves
+    wrapped in this exception with ``index``/``source``/``completed``
+    intact, so the resume seed survives store errors as well as pipeline
+    errors.  The durable job layer built on top of this contract lives in
     :mod:`repro.jobs`.
     """
 
@@ -240,14 +241,17 @@ class Dispatcher:
 # -- store plumbing shared with repro.jobs -------------------------------------
 
 
-def close_store(writer, owned: bool) -> None:
-    """Close a writer the run opened; flush one the caller passed in."""
-    if writer is None:
-        return
-    if owned:
-        writer.close()
-    else:
-        writer.flush()
+def stored_recordings(writer) -> tuple[set[str], set[str]]:
+    """``(complete, partial)``: the recording names the store behind
+    ``writer`` holds on disk (both empty without a writer or a manifest)."""
+    from ..store.reader import StoreReader
+    from ..store.schema import MANIFEST_NAME
+
+    if writer is None or not (writer.path / MANIFEST_NAME).exists():
+        return set(), set()
+    reader = StoreReader(writer.path)
+    complete = {name for name in reader.recordings() if reader.recording_info(name).complete}
+    return complete, set(reader.recordings()) - complete
 
 
 def persist_result(writer, name: str, item, result, features: bool) -> None:
@@ -308,10 +312,12 @@ class CorpusExecutor:
 
         ``store`` persists each result into a feature store (a directory
         path or an open :class:`~repro.store.StoreWriter`) as soon as it is
-        collected, under ``recordings`` names (default ``rec-00000`` …);
-        results are collected in corpus order on every backend, so a
-        failure leaves exactly the items in
-        :attr:`CorpusExecutionError.completed` persisted.  The first
+        collected, under ``recordings`` names (default
+        :func:`~repro.store.schema.recording_name` of the corpus index,
+        ``rec-00000`` …); a name the store already holds fails that item,
+        so a corpus is never appended twice.  Results are collected in
+        corpus order on every backend, so a failure leaves exactly the
+        items in :attr:`CorpusExecutionError.completed` persisted.  The first
         failure aborts the run on every backend: items the workers have
         not started yet are cancelled, not run.
         """
@@ -330,14 +336,16 @@ class CorpusExecutor:
             names = self._recording_names(items, recordings)
         if not items:
             return []
+        from ..store.writer import open_writer
+
         features = self._has_stage("features")
         results: list[PipelineResult] = []
         # An index enters `completed` only once its result is collected
         # *and* persisted, never inferred from a prefix range.
         completed: list[int] = []
-        with Dispatcher(self, sample_rate, len(items)) as dispatch:
-            writer, owned = self._open_store(store)
-            try:
+        opened = open_writer(store)
+        try:
+            with Dispatcher(self, sample_rate, len(items)) as dispatch, opened as writer:
                 for index, result, error in dispatch.outcomes(enumerate(items)):
                     item = items[index]
                     if error is not None:
@@ -355,8 +363,20 @@ class CorpusExecutor:
                         )
                     results.append(result)
                     completed.append(index)
-            finally:
-                close_store(writer, owned)
+        except CorpusExecutionError as failure:
+            if opened.flush_error is None:
+                raise
+            # The closing flush failed too: rows persisted since the last
+            # good flush never reached a shard, so name only what did.
+            complete, _ = stored_recordings(opened.writer)
+            raise CorpusExecutionError(
+                f"{failure}; the closing store flush failed too, so completed "
+                "lists only the items the store holds",
+                index=failure.index,
+                source=failure.source,
+                worker_traceback=failure.worker_traceback,
+                completed=tuple(i for i in failure.completed if names[i] in complete),
+            ) from opened.flush_error
         return results
 
     # -- store plumbing -------------------------------------------------------
@@ -369,21 +389,15 @@ class CorpusExecutor:
     @staticmethod
     def _recording_names(items: list, recordings) -> list[str]:
         if recordings is None:
-            return [f"rec-{index:05d}" for index in range(len(items))]
+            from ..store.schema import recording_name
+
+            return [recording_name(index) for index in range(len(items))]
         names = [str(name) for name in recordings]
         if len(names) != len(items):
             raise ValueError(
                 f"recordings names {len(names)} must match corpus length {len(items)}"
             )
         return names
-
-    @staticmethod
-    def _open_store(store):
-        if store is None:
-            return None, False
-        from ..store.writer import coerce_writer
-
-        return coerce_writer(store)
 
     def _persist_checked(
         self, writer, name: str, item, result, features: bool, index: int, completed: list[int]

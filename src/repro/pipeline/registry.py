@@ -92,7 +92,6 @@ def _store_stage_factory(
     writer=None,
     backend: str = "auto",
     recording: str | None = None,
-    recording_prefix: str = "rec-",
     station: str = "",
     flush_values: int = 65_536,
 ) -> Stage:
@@ -106,7 +105,6 @@ def _store_stage_factory(
         writer=writer,
         backend=backend,
         recording=recording,
-        recording_prefix=recording_prefix,
         station=station,
         flush_values=flush_values,
     )

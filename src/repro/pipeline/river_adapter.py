@@ -754,11 +754,7 @@ def _store_sink_operators(store_stages: list[Stage], store) -> list[Operator]:
         seen.add(path)
         sinks.append(
             StoreSinkOperator(
-                path,
-                backend=stage.backend,
-                recording_prefix=stage.recording_prefix,
-                flush_values=stage.flush_values,
-                name=_name(),
+                path, backend=stage.backend, flush_values=stage.flush_values, name=_name()
             )
         )
     if store is not None and str(store) not in seen:

@@ -27,6 +27,11 @@ through its one :meth:`~StoreWriter.write_ensemble` sequence):
   stream — so simulated and process-fabric runs persist while they stream
   and store exactly what a batch run stores.
 
+A recording is written once: every path hands the writer the name (or
+None, for the first free :func:`~repro.store.schema.recording_name`), and
+:meth:`StoreWriter.begin_recording` raises :class:`StoreError` for a name
+the store already holds.  Every path gets its writer from :class:`open_writer`.
+
 Read paths: :class:`StoreReader` iterates stored ensembles/patterns with
 station/time/label filters, ``BuiltPipeline.run_from_store()`` /
 ``run_corpus(from_store=...)`` re-run the classify-side stages over stored
@@ -53,7 +58,7 @@ from .reader import RecordingInfo, StoredEnsemble, StoreReader, coerce_reader
 from .river_sink import StoreSinkOperator
 from .schema import SCHEMA_VERSION
 from .stage import StoreWriterStage
-from .writer import StoreWriter, coerce_writer
+from .writer import StoreWriter, open_writer
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -68,9 +73,9 @@ __all__ = [
     "StoredEnsemble",
     "available_backends",
     "coerce_reader",
-    "coerce_writer",
     "default_backend",
     "load_meso",
+    "open_writer",
     "resolve_backend",
     "save_meso",
 ]

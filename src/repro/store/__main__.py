@@ -4,10 +4,11 @@ Usage::
 
     python -m repro.store ls <path>       # recordings: rows, completeness
     python -m repro.store info <path>     # schema, backend, shard/row counts
-    python -m repro.store verify <path>   # recompute per-shard checksums
+    python -m repro.store verify <path>   # recompute per-shard checksums, check keys
 
-``verify`` exits non-zero when any shard fails its checksum or the row
-counts disagree with the manifest; interrupted (incomplete) writes are
+``verify`` exits non-zero when any shard fails its checksum, the row
+counts disagree with the manifest or an ensemble key is stored twice
+(a recording written twice by a version before 5.0); interrupted (incomplete) writes are
 reported but are not an integrity failure — they are exactly what the
 store promises to surface.
 """

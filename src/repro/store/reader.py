@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -272,8 +273,10 @@ class StoreReader:
     # -- verification ----------------------------------------------------------
 
     def verify(self) -> list[str]:
-        """Recompute per-shard checksums; return a list of problems (empty
-        when the store is intact)."""
+        """Recompute per-shard checksums and check that no ensemble key
+        ``(recording, ordinal)`` is stored twice; return a list of problems
+        (empty when the store is intact).  Orphaned audio/pattern rows are
+        *incomplete* (see :meth:`incomplete`), not a problem."""
         problems: list[str] = []
         for shard in self.manifest.get("shards", []):
             shard_path = self.path / SHARD_DIR / shard["name"]
@@ -298,6 +301,13 @@ class StoreReader:
                     f"{kind} row count mismatch: manifest says {expected}, "
                     f"shards hold {len(rows[kind])}"
                 )
+        keys = Counter((row["recording"], row["ordinal"]) for row in rows[ENSEMBLES])
+        doubled = Counter(recording for (recording, _), n in keys.items() if n > 1)
+        for recording, count in sorted(doubled.items()):
+            problems.append(
+                f"recording {recording!r} holds {count} ensemble ordinal(s) more "
+                "than once (it was written twice); rewrite it into a new store"
+            )
         return problems
 
 

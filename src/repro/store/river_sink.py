@@ -17,6 +17,7 @@ from ..pipeline.river_adapter import ScopeDecoder
 from ..river.operator_base import Operator
 from ..river.records import Record, ScopeType
 from .backends import StoreError
+from .schema import recording_name
 from .stage import STAGE_FLUSH_VALUES, StoreWriterStage
 
 __all__ = ["StoreSinkOperator"]
@@ -29,7 +30,6 @@ class StoreSinkOperator(Operator):
         self,
         path,
         backend: str = "auto",
-        recording_prefix: str = "rec-",
         flush_values: int = STAGE_FLUSH_VALUES,
         name: str = "store-sink",
     ) -> None:
@@ -41,7 +41,6 @@ class StoreSinkOperator(Operator):
             )
         self.path = str(path)
         self.backend = backend
-        self.recording_prefix = recording_prefix
         self.flush_values = flush_values
         self._clip_count = 0
         self._decoder = ScopeDecoder(stream=True)
@@ -73,7 +72,7 @@ class StoreSinkOperator(Operator):
             self._clip_count += 1
             stage = self.stage
             stage.reset()
-            stage.recording = f"{self.recording_prefix}{int(index):05d}"
+            stage.recording = recording_name(index)
             stage.station = record.context.get("station_id") or ""
             stage.start(int(record.context.get("sample_rate", 0)))
         elif record.is_close:

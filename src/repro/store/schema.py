@@ -41,12 +41,20 @@ __all__ = [
     "TABLE_KINDS",
     "SCALAR_COLUMNS",
     "RAGGED_COLUMNS",
+    "recording_name",
 ]
 
 SCHEMA_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 SHARD_DIR = "shards"
 CLASSIFIER_DIR = "classifiers"
+
+
+def recording_name(index: int) -> str:
+    """The one default recording name (corpus item ``index``; a writer takes
+    the first free one for an unnamed recording)."""
+    return f"rec-{int(index):05d}"
+
 
 ENSEMBLES = "ensembles"
 AUDIO = "audio"

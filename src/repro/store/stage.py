@@ -54,7 +54,6 @@ class StoreWriterStage(Stage):
         writer: StoreWriter | None = None,
         backend: str = "auto",
         recording: str | None = None,
-        recording_prefix: str = "rec-",
         station: str = "",
         flush_values: int = STAGE_FLUSH_VALUES,
     ) -> None:
@@ -63,7 +62,6 @@ class StoreWriterStage(Stage):
         self.path = path
         self.backend = backend
         self.recording = recording
-        self.recording_prefix = recording_prefix
         self.station = station
         self.flush_values = flush_values
         self._writer = writer
@@ -71,14 +69,9 @@ class StoreWriterStage(Stage):
         #: BuiltPipeline when the graph is assembled (None = unknown).
         self.expect_features: bool | None = None
         self.sample_rate: int | None = None
-        #: Runs survive reset() so auto-named recordings stay unique.
-        self._run_index = 0
-        self._next_ordinal: dict[str, int] = {}
-        self._totals: dict[str, int] = {}
+        #: The recording this run writes, named by the writer in start().
         self._current: str | None = None
         self._ordinal = 0
-        #: Samples carried by the recording before this run (appends).
-        self._total = 0
         #: Samples seen during this run: counted from SignalChunks when they
         #: reach this stage, else pushed by the pipeline's end-of-stream
         #: observation (extract consumes chunks, so in-graph placement after
@@ -97,20 +90,19 @@ class StoreWriterStage(Stage):
     # -- lifecycle -------------------------------------------------------------
 
     def start(self, sample_rate: int) -> None:
+        """Begin this run's recording: ``recording`` when set (a name the
+        store already holds raises), else the writer's next free name."""
         self.sample_rate = int(sample_rate)
-        name = self.recording or f"{self.recording_prefix}{self._run_index:05d}"
-        self._run_index += 1
-        self._current = name
-        self._ordinal = self._next_ordinal.get(name, 0)
-        self._total = self._totals.get(name, 0)
+        self._ordinal = 0
         self._seen = 0
-        self.writer.begin_recording(name, station=self.station, sample_rate=self.sample_rate)
+        self._current = self.writer.begin_recording(
+            self.recording, station=self.station, sample_rate=self.sample_rate
+        )
 
     def reset(self) -> None:
         self._current = None
         self._session = None
         self._ordinal = 0
-        self._total = 0
         self._seen = 0
 
     def observe_stream_end(self, total_samples: int) -> None:
@@ -119,10 +111,7 @@ class StoreWriterStage(Stage):
 
     def flush(self) -> list[PipelineEvent]:
         if self._current is not None:
-            total = self._total + self._seen
-            self._next_ordinal[self._current] = self._ordinal
-            self._totals[self._current] = total
-            self.writer.end_recording(self._current, total_samples=total)
+            self.writer.end_recording(self._current, total_samples=self._seen)
             self.writer.flush()
         return []
 

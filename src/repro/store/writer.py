@@ -8,6 +8,10 @@ The manifest (shard index + per-recording metadata) is rewritten atomically
 on every flush, which makes the store append-friendly: re-opening an
 existing store continues its shard numbering and recording table.
 
+A recording is written once (:meth:`StoreWriter.begin_recording`) and its
+ensemble ordinals rise (:meth:`StoreWriter.close_ensemble`), so ensemble
+keys are unique and in order when they are written.
+
 Durability contract: the row describing an ensemble (boundaries, labels,
 pattern count) is written only by :meth:`close_ensemble`.  Audio slices and
 patterns of a *still-open* ensemble may already sit in flushed shards, but
@@ -18,6 +22,7 @@ interrupted write can never masquerade as a shorter-but-valid ensemble.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 from pathlib import Path
@@ -26,8 +31,9 @@ import numpy as np
 
 from .backends import Backend, StoreError, resolve_backend, rows_to_columns
 from .schema import AUDIO, ENSEMBLES, MANIFEST_NAME, PATTERNS, SCHEMA_VERSION, SHARD_DIR, TABLE_KINDS
+from .schema import recording_name
 
-__all__ = ["StoreWriter", "coerce_writer"]
+__all__ = ["StoreWriter", "open_writer"]
 
 #: Default flush threshold: buffered ragged floats before a shard is cut.
 DEFAULT_FLUSH_VALUES = 262_144
@@ -82,6 +88,8 @@ class StoreWriter:
         self._buffered_values = 0
         #: (recording, ordinal) -> {"start": int, "sample_rate": int | None}
         self._sessions: dict[tuple[str, int], dict] = {}
+        #: recording -> the last ordinal this writer sealed for it.
+        self._sealed: dict[str, int] = {}
         self._closed = False
 
     # -- lifecycle -------------------------------------------------------------
@@ -136,37 +144,38 @@ class StoreWriter:
     def recordings(self) -> list[str]:
         return list(self._manifest["recordings"])
 
-    def has_recording(self, recording: str) -> bool:
-        return recording in self._manifest["recordings"]
-
     def begin_recording(
         self,
-        recording: str,
+        recording: str | None,
         station: str = "",
         sample_rate: int = 0,
         meta: dict | None = None,
-    ) -> None:
-        """Open (or re-open) a recording; it stays incomplete until
-        :meth:`end_recording`."""
+    ) -> str:
+        """Open a new recording (``None``: the first free
+        :func:`recording_name`) and return its name; it stays incomplete
+        until :meth:`end_recording`.  A name the manifest holds, complete or
+        partial, raises :class:`StoreError`: the store has no row delete."""
         self._require_open()
-        info = self._manifest["recordings"].setdefault(
-            recording,
-            {
-                "station": "",
-                "sample_rate": 0,
-                "total_samples": 0,
-                "complete": False,
-                "ensembles": 0,
-                "meta": {},
-            },
-        )
-        if station:
-            info["station"] = str(station)
-        if sample_rate:
-            info["sample_rate"] = int(sample_rate)
-        if meta:
-            info["meta"].update(meta)
-        info["complete"] = False
+        recordings = self._manifest["recordings"]
+        if recording is None:
+            recording = next(
+                name for name in map(recording_name, itertools.count()) if name not in recordings
+            )
+        elif recording in recordings:
+            raise StoreError(
+                f"recording {recording!r} is already in the store at {self.path}; "
+                "the store is append-only with no row delete, so a recording is "
+                "written once — write to a new recording name or a new store"
+            )
+        recordings[recording] = {
+            "station": str(station or ""),
+            "sample_rate": int(sample_rate or 0),
+            "total_samples": 0,
+            "complete": False,
+            "ensembles": 0,
+            "meta": dict(meta or {}),
+        }
+        return recording
 
     def end_recording(
         self, recording: str, total_samples: int | None = None, meta: dict | None = None
@@ -243,8 +252,17 @@ class StoreWriter:
         feature stage ran, ``0`` for a short ensemble, else the count.
         ``start``/``sample_rate`` default from the matching
         :meth:`open_ensemble` session; ``station`` from the recording.
+        Ordinals must rise: one at or below the last ordinal this writer
+        sealed for ``recording`` raises :class:`StoreError`.
         """
         self._require_open()
+        last = self._sealed.get(recording)
+        if last is not None and int(ordinal) <= last:
+            raise StoreError(
+                f"close_ensemble({recording!r}, {ordinal}) after ordinal {last} was "
+                "sealed; ensemble ordinals must be unique and increasing within "
+                "a recording"
+            )
         session = self._sessions.pop((recording, int(ordinal)), None)
         if start is None:
             if session is None:
@@ -275,6 +293,7 @@ class StoreWriter:
                 "n_patterns": int(n_patterns),
             }
         )
+        self._sealed[recording] = int(ordinal)
         if recording in self._manifest["recordings"]:
             self._manifest["recordings"][recording]["ensembles"] += 1
         self._maybe_flush()
@@ -303,13 +322,14 @@ class StoreWriter:
 
     def write_result(
         self,
-        recording: str,
+        recording: str | None,
         result,
         station: str = "",
         features: bool | None = None,
         meta: dict | None = None,
     ) -> None:
-        """Persist one :class:`~repro.pipeline.results.PipelineResult` whole.
+        """Persist one :class:`~repro.pipeline.results.PipelineResult` whole
+        as a new recording (``None`` lets :meth:`begin_recording` name it).
 
         ``features`` says whether a feature stage ran (it decides between
         ``n_patterns=0`` and ``n_patterns=-1`` for pattern-less ensembles);
@@ -320,7 +340,7 @@ class StoreWriter:
                 any(len(patterns) for patterns in result.patterns)
                 or result.short_ensembles > 0
             )
-        self.begin_recording(
+        recording = self.begin_recording(
             recording, station=station, sample_rate=result.sample_rate, meta=meta
         )
         rows = zip(result.ensembles, result.patterns, result.labels)
@@ -333,18 +353,19 @@ class StoreWriter:
 
     def write_ensembles(
         self,
-        recording: str,
+        recording: str | None,
         ensembles,
         sample_rate: int | None = None,
         total_samples: int | None = None,
         station: str = "",
         meta: dict | None = None,
     ) -> None:
-        """Persist bare labelled ensembles (no feature stage: ``n_patterns=-1``)."""
+        """Persist bare labelled ensembles (no feature stage: ``n_patterns=-1``)
+        as a new recording."""
         ensembles = list(ensembles)
         if sample_rate is None and ensembles:
             sample_rate = ensembles[0].sample_rate
-        self.begin_recording(
+        recording = self.begin_recording(
             recording, station=station, sample_rate=int(sample_rate or 0), meta=meta
         )
         for ordinal, ensemble in enumerate(ensembles):
@@ -368,12 +389,35 @@ class StoreWriter:
         self._write_manifest()
 
 
-def coerce_writer(store, backend: str = "auto") -> tuple[StoreWriter, bool]:
-    """Turn ``store`` (a path or a live writer) into ``(writer, owned)``.
+class open_writer:
+    """``with open_writer(store) as writer:`` — the one writer lifecycle.
 
-    ``owned`` is True when this call opened the writer, i.e. the caller is
-    responsible for closing it.
+    ``store`` is a directory path (opened with ``flush_values``, closed on
+    exit), a live :class:`StoreWriter` (flushed on exit) or None.  The exit
+    also runs when the block raises, but then a failing flush is kept as
+    :attr:`flush_error` rather than replacing the exception in flight.  A
+    class, so ``ExitStack.pop_all()`` can drop the exit for good.
     """
-    if isinstance(store, StoreWriter):
-        return store, False
-    return StoreWriter(store, backend=backend), True
+
+    def __init__(self, store, flush_values: int = DEFAULT_FLUSH_VALUES) -> None:
+        self.store = store
+        self.flush_values = flush_values
+        self.writer: StoreWriter | None = None
+        self.flush_error: Exception | None = None
+
+    def __enter__(self) -> StoreWriter | None:
+        if self.store is None or isinstance(self.store, StoreWriter):
+            self.writer = self.store
+        else:
+            self.writer = StoreWriter(self.store, flush_values=self.flush_values)
+        return self.writer
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self.writer is None:
+            return
+        try:
+            self.writer.flush() if self.writer is self.store else self.writer.close()
+        except Exception as error:
+            if exc_type is None:
+                raise
+            self.flush_error = error

@@ -411,6 +411,62 @@ class TestCompletedContract:
         assert error.completed == (0,)
         assert writer.persisted == ["rec-00000"]
 
+    def test_closing_flush_cannot_mask_a_persist_failure(
+        self, trained_builder, corpus_clips, tmp_path
+    ):
+        """A full disk fails the persist *and* the run's closing flush; the
+        caller must still get the persist failure with its resume seed, not
+        the closing flush's bare OSError."""
+        from repro.store import StoreWriter
+
+        class FullDisk(StoreWriter):
+            def flush(self) -> None:
+                raise OSError("No space left on device (simulated)")
+
+        writer = FullDisk(tmp_path / "full.store", flush_values=1)
+        with pytest.raises(CorpusExecutionError, match="failed to persist") as excinfo:
+            trained_builder.build().run_corpus(corpus_clips, store=writer)
+        assert (excinfo.value.index, excinfo.value.completed) == (0, ())
+        assert isinstance(excinfo.value.__cause__, OSError)
+
+    @pytest.mark.parametrize("flush_values, durable", [(1, (0,)), (2**62, ())])
+    def test_failed_closing_flush_narrows_completed_to_durable_items(
+        self, trained_builder, corpus_clips, flush_values, durable, tmp_path
+    ):
+        """The disk fills at item 2 and the closing flush fails too: items
+        0 and 1 were persisted, but only what reached the on-disk manifest
+        complete may be reported, or a resume would skip lost recordings."""
+        from repro.store import StoreReader, StoreWriter
+
+        class FullDisk(StoreWriter):
+            full = False
+
+            def write_result(self, recording, result, **kwargs):
+                if recording == "rec-00002":
+                    self.full = True
+                    raise OSError("No space left on device (simulated)")
+                super().write_result(recording, result, **kwargs)
+
+            def flush(self) -> None:
+                if self.full:
+                    raise OSError("No space left on device (simulated)")
+                super().flush()
+
+        path = tmp_path / "full.store"
+        writer = FullDisk(path, flush_values=flush_values)
+        with pytest.raises(CorpusExecutionError, match="failed to persist") as excinfo:
+            trained_builder.build().run_corpus(corpus_clips, store=writer)
+        error = excinfo.value
+        assert (error.index, error.completed) == (2, durable)
+        assert "closing store flush" in str(error)
+        assert isinstance(error.__cause__, OSError)
+        if durable:
+            reader = StoreReader(path)
+            assert all(reader.recording_info(f"rec-{i:05d}").complete for i in durable)
+            assert not reader.recording_info("rec-00001").complete
+        else:
+            assert not path.joinpath("manifest.json").exists()
+
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_item_failure_completed_lists_persisted_only(
         self, corpus_clips, backend, tmp_path
