@@ -109,9 +109,9 @@ class WavInfo:
 def wav_info(path: str | Path) -> WavInfo:
     """Parse a 16-bit PCM WAV header and locate its data chunk.
 
-    Unlike :func:`read_wav` this never loads the audio, so streaming chunk
-    sources can open arbitrarily large recordings with bounded memory and
-    then read the data region incrementally.
+    This never loads the audio, so streaming chunk sources can open
+    arbitrarily large recordings with bounded memory and then read the data
+    region incrementally; :func:`read_wav` reads the region whole.
     """
     with open(path, "rb") as handle:
         head = handle.read(12)
@@ -148,34 +148,24 @@ def wav_info(path: str | Path) -> WavInfo:
 
 
 def read_wav(path: str | Path) -> WavClip:
-    """Read a 16-bit PCM WAV file written by :func:`write_wav` (or compatible)."""
+    """Read a 16-bit PCM WAV file written by :func:`write_wav` (or compatible).
+
+    A data chunk shorter than its header says raises :class:`ValueError`
+    naming the missing bytes: a truncated upload is an error, never a
+    shorter recording.
+    """
+    info = wav_info(path)
     with open(path, "rb") as handle:
-        blob = handle.read()
-    if len(blob) < 44 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
-        raise ValueError(f"{path}: not a RIFF/WAVE file")
-
-    # Walk the chunk list; only 'fmt ' and 'data' are required.
-    offset = 12
-    fmt: tuple | None = None
-    data: bytes | None = None
-    while offset + 8 <= len(blob):
-        chunk_id = blob[offset : offset + 4]
-        (chunk_size,) = struct.unpack("<I", blob[offset + 4 : offset + 8])
-        body = blob[offset + 8 : offset + 8 + chunk_size]
-        if chunk_id == b"fmt ":
-            fmt = struct.unpack("<HHIIHH", body[:16])
-        elif chunk_id == b"data":
-            data = body
-        offset += 8 + chunk_size + (chunk_size % 2)
-    if fmt is None or data is None:
-        raise ValueError(f"{path}: missing fmt or data chunk")
-
-    audio_format, channels, sample_rate, _byte_rate, _block_align, bits = fmt
-    if audio_format != 1 or bits != 16:
-        raise ValueError(f"{path}: only 16-bit PCM is supported (format={audio_format}, bits={bits})")
-    pcm = np.frombuffer(data, dtype="<i2")
+        handle.seek(info.data_offset)
+        data = handle.read(info.data_bytes)
+    if len(data) < info.data_bytes:
+        raise ValueError(
+            f"{path}: WAV data chunk truncated ({info.data_bytes - len(data)} bytes missing)"
+        )
+    # A trailing partial frame means a malformed data chunk; drop it.
+    frame_bytes = 2 * info.channels
+    pcm = np.frombuffer(data[: len(data) - len(data) % frame_bytes], dtype="<i2")
     samples = pcm16_to_samples(pcm)
-    if channels > 1:
-        frames = samples.size // channels
-        samples = samples[: frames * channels].reshape(frames, channels).T
-    return WavClip(samples=samples, sample_rate=int(sample_rate))
+    if info.channels > 1:
+        samples = samples.reshape(-1, info.channels).T
+    return WavClip(samples=samples, sample_rate=info.sample_rate)

@@ -23,22 +23,27 @@ machines, run the HTTP control plane instead
 (``python -m repro.jobs serve``; see :mod:`repro.jobs.service`), which
 arbitrates claims with per-worker leases.
 
-Store discipline: the runner opens its writer with an effectively
-unbounded flush budget and flushes explicitly once per item, so shard
-files always cut at item boundaries.  A crash mid-item therefore leaves
-*nothing* of that item durable — resume re-runs it cleanly — rather than
-a partial recording, which the write-once store would refuse to take again.
+Store discipline, shared with :class:`~repro.jobs.worker.JobWorker`: a
+drain opens its writer with an effectively unbounded flush budget
+(:func:`drain_writer`) and flushes explicitly once per item
+(:func:`persist_item`), so shard files always cut at item boundaries.  A
+crash mid-item therefore leaves *nothing* of that item durable — resume
+re-runs it cleanly — rather than a partial recording, which the write-once
+store would refuse to take again.  A failed persist charges the attempt
+(``persist failed: …``) and stops the drain, with nothing more flushed
+from that writer: this runner raises
+:class:`~repro.pipeline.executor.CorpusExecutionError`, a worker
+:class:`~repro.jobs.worker.WorkerError`.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from contextlib import ExitStack
+from contextlib import contextmanager
 
 from ..pipeline.builder import PipelineBuildError
 from ..pipeline.executor import (
-    CorpusExecutionError,
     CorpusExecutor,
     Dispatcher,
     corpus_failure,
@@ -46,11 +51,12 @@ from ..pipeline.executor import (
     persist_result,
     stored_recordings,
 )
-from .ledger import DONE, Ledger, LedgerConfig, LedgerError
+from ..store.writer import open_writer
+from .ledger import DONE, Ledger, LedgerConfig
 
 __all__ = ["run_corpus", "coerce_ledger"]
 
-#: Flush budget that never auto-flushes: the runner cuts shards itself,
+#: Flush budget that never auto-flushes: a drain cuts shards itself,
 #: exactly once per completed item, so partially-run items are never
 #: durable.  (One item's rows are buffered in memory — the same order of
 #: magnitude as the item's PipelineResult itself.)
@@ -129,33 +135,48 @@ def run_corpus(
     # its poison item instead of wedging forever).
     book.recover_busy()
 
-    from ..store.writer import open_writer
-
-    features = executor._has_stage("features")
-    with ExitStack() as stack:
-        writer = stack.enter_context(open_writer(store, flush_values=NO_AUTO_FLUSH))
-        try:
-            _reconcile_with_store(book, writer, results)
-            _drain(executor, book, items, sample_rate, writer, features, results, worker_id)
-        except CorpusExecutionError:
-            # A persist failure aborted the run (see _settle): the writer's
-            # buffer may hold rows for items the ledger recorded as *failed*
-            # — flushing them would persist results the ledger disowns (and
-            # on a genuinely full disk would fail again).  Leave the writer
-            # unflushed; everything flushed before the failure is intact.
-            stack.pop_all()
-            raise
+    with drain_writer(store) as writer:
+        _reconcile_with_store(book, writer, results)
+        _drain(executor, book, items, sample_rate, writer, results, worker_id)
     return results
 
 
-# -- store recovery ------------------------------------------------------------
+# -- the persist rule of both drains -------------------------------------------
 
 
-def persist_item(writer, recording: str, item, result, features: bool) -> None:
+@contextmanager
+def drain_writer(store):
+    """``with drain_writer(store) as writer:`` — the writer a drain (this
+    runner or a :class:`~repro.jobs.worker.JobWorker`) persists through.
+
+    It never auto-flushes: :func:`persist_item` cuts one shard per item, so
+    rows are buffered only while one item is being persisted.  If the drain
+    raises, what is buffered belongs to that item — most often one whose
+    persist failed and was charged as failed — so the exit flushes nothing:
+    the rows would be a result the ledger disowns, and on a full disk the
+    flush would fail again.  Everything flushed before is intact.
+    """
+    opened = open_writer(store, flush_values=NO_AUTO_FLUSH)
+    writer = opened.__enter__()
+    yield writer
+    opened.__exit__(None, None, None)
+
+
+def persist_item(writer, recording: str, item, result, fail) -> None:
     """Write one item's result and cut its shard, so whoever reports the
-    item done afterwards reports something durable."""
-    persist_result(writer, recording, item, result, features)
-    writer.flush()
+    item done afterwards reports something durable.
+
+    A failed persist is a *store* problem (full disk, bad shard), not an
+    item problem: ``fail(reason)`` charges the attempt with ``reason``
+    ``persist failed: …`` and the error propagates, so the drain stops —
+    every further persist would hit the same disk.
+    """
+    try:
+        persist_result(writer, recording, item, result)
+        writer.flush()
+    except Exception as exc:
+        fail(f"persist failed: {type(exc).__name__}: {exc}")
+        raise
 
 
 def partial_write_reason(recording: str) -> str:
@@ -211,7 +232,6 @@ def _drain(
     items: list,
     sample_rate: int | None,
     writer,
-    features: bool,
     results: list,
     worker_id: str,
 ) -> None:
@@ -239,31 +259,18 @@ def _drain(
                 if error is not None:
                     book.mark_failed(index, error.message, worker=worker_id)
                     continue
-                _settle(
-                    book, book.row(index), items[index], result, writer, features,
-                    results, worker_id,
-                )
+                _settle(book, book.row(index), items[index], result, writer, results, worker_id)
 
 
-def _settle(book, row, item, result, writer, features, results, worker_id) -> None:
+def _settle(book, row, item, result, writer, results, worker_id) -> None:
     """Persist one collected result, then — and only then — mark it done."""
     if writer is not None:
         try:
-            persist_item(writer, row.recording, item, result, features)
+            persist_item(
+                writer, row.recording, item, result,
+                lambda reason: book.mark_failed(row.index, reason, worker=worker_id),
+            )
         except Exception as exc:
-            # A persist failure is a *store* problem (full disk, bad
-            # shard), not an item problem: charge the attempt for
-            # honesty, then abort the run — the writer's buffered state
-            # can no longer be trusted, and every further persist would
-            # hit the same disk.  The ledger survives for resume.
-            try:
-                book.mark_failed(
-                    row.index,
-                    f"persist failed: {type(exc).__name__}: {exc}",
-                    worker=worker_id,
-                )
-            except LedgerError:  # pragma: no cover - defensive
-                pass
             raise corpus_failure(
                 "failed to persist", row.index, item,
                 f" to the store: {type(exc).__name__}: {exc}",

@@ -19,6 +19,16 @@ retry and coordinate many workers:
     the item failed ``max_attempts`` times — terminal.  Quarantine
     isolates a poison item instead of aborting the whole run.
 
+Each rule lives in one place.  Every row change is one transition step,
+which sets the new state and the fields that state keeps (the holder and
+lease of a ``busy`` row, the backoff deadline of a ``failed`` one) and
+resets the rest.  Only the ``busy`` row's holder may report an attempt's
+outcome (``mark_done``, ``mark_failed``, ``heartbeat``).  A spent attempt
+— a reported failure, a lease lapse, a crash recovered by
+``recover_busy`` — goes through one charge: quarantine at
+``max_attempts``, else retry, and ``error`` records that attempt's own
+reason, so it always names why the last charged attempt ended.
+
 Every mutation rewrites the whole file atomically (temp file +
 ``os.replace``), the same durability idiom as the feature-store manifest:
 a killed process leaves either the previous ledger or the next one on
@@ -38,7 +48,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 __all__ = [
@@ -106,11 +116,10 @@ class LedgerConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LedgerConfig":
+        """The policy stored in a ledger file; a key missing from an older
+        file takes the field's default."""
         return cls(
-            max_attempts=int(data.get("max_attempts", 3)),
-            backoff_base=float(data.get("backoff_base", 1.0)),
-            backoff_cap=float(data.get("backoff_cap", 60.0)),
-            lease=float(data.get("lease", 60.0)),
+            **{f.name: type(f.default)(data[f.name]) for f in fields(cls) if f.name in data}
         )
 
 
@@ -270,8 +279,9 @@ class Ledger:
 
     # -- mutations -------------------------------------------------------------
     #
-    # Every mutation saves before returning, so the on-disk file is never
-    # behind what a caller has been told.
+    # Every row change is one _transition; every mutation saves once before
+    # returning, so the on-disk file is never behind what a caller has been
+    # told.
 
     def claim(
         self, worker: str, now: float | None = None, lease: float | None = None
@@ -295,18 +305,15 @@ class Ledger:
         """Claim up to ``limit`` claimable rows in one atomic rewrite."""
         now = time.time() if now is None else now
         lease = self.config.lease if lease is None else float(lease)
-        self._lapse_expired(now)
+        lapsed = self._lapse(now)
         claimed: list[LedgerRow] = []
         for row in self.rows:
             if limit is not None and len(claimed) >= limit:
                 break
             if row.state == OPEN or (row.state == FAILED and row.not_before <= now):
-                row.state = BUSY
-                row.worker = str(worker)
-                row.updated = now
-                row.lease_expires = now + lease
+                self._transition(row, BUSY, now, worker=str(worker), lease_expires=now + lease)
                 claimed.append(row)
-        if claimed or self._lapsed_dirty:
+        if claimed or lapsed:
             self.save()
         return claimed
 
@@ -316,15 +323,8 @@ class Ledger:
         """Renew the lease of a ``busy`` row still held by ``worker``."""
         now = time.time() if now is None else now
         lease = self.config.lease if lease is None else float(lease)
-        row = self.row(index)
-        if row.state != BUSY or row.worker != str(worker):
-            raise LedgerError(
-                f"item {index} is not busy under worker {worker!r} "
-                f"(state={row.state!r}, worker={row.worker!r}); its lease "
-                "may have lapsed and been reclaimed"
-            )
-        row.lease_expires = now + lease
-        row.updated = now
+        row = self._held(index, str(worker), "renew the lease of")
+        self._transition(row, BUSY, now, worker=row.worker, lease_expires=now + lease)
         self.save()
 
     def mark_done(self, index: int, worker: str | None = None, now: float | None = None) -> None:
@@ -348,21 +348,8 @@ class Ledger:
                     "reclaimed"
                 )
             return
-        if row.state != BUSY:
-            raise LedgerError(
-                f"cannot mark item {index} done from state {row.state!r}; "
-                "only a claimed (busy) row can complete"
-            )
-        if worker is not None and row.worker != str(worker):
-            raise LedgerError(
-                f"item {index} is held by worker {row.worker!r}, not {worker!r}; "
-                "its lease may have lapsed and been reclaimed"
-            )
-        row.state = DONE
-        row.updated = now
-        row.lease_expires = 0.0
-        row.not_before = 0.0
-        row.error = ""
+        row = self._held(index, worker, "complete")
+        self._transition(row, DONE, now, worker=row.worker, error="")
         self.save()
 
     def mark_failed(
@@ -374,31 +361,16 @@ class Ledger:
     ) -> LedgerRow:
         """Record a failed attempt; backoff then retry, or quarantine.
 
-        The row returns to the pool with ``not_before = now + backoff``
+        Only a ``busy`` row (held by ``worker``, when given) can fail — the
+        same rule as :meth:`mark_done`, so a report from a worker whose lease
+        lapsed is refused instead of charging the row a second time.  The
+        row returns to the pool with ``not_before = now + backoff``
         (exponential in the attempt count, capped), or becomes
         ``quarantined`` once ``max_attempts`` is reached.
         """
         now = time.time() if now is None else now
-        row = self.row(index)
-        if row.terminal:
-            raise LedgerError(
-                f"cannot fail item {index}: state {row.state!r} is terminal"
-            )
-        if worker is not None and row.state == BUSY and row.worker != str(worker):
-            raise LedgerError(
-                f"item {index} is held by worker {row.worker!r}, not {worker!r}"
-            )
-        row.attempts += 1
-        row.error = str(error)
-        row.updated = now
-        row.worker = ""
-        row.lease_expires = 0.0
-        if row.attempts >= self.config.max_attempts:
-            row.state = QUARANTINED
-            row.not_before = 0.0
-        else:
-            row.state = FAILED
-            row.not_before = now + self.config.backoff(row.attempts)
+        row = self._held(index, worker, "fail")
+        self._charge(row, str(error), now, backoff=True)
         self.save()
         return row
 
@@ -407,27 +379,13 @@ class Ledger:
 
         For the exclusive single-process runner restarting after a crash:
         any row still busy belonged to the dead previous run, and waiting
-        out its lease would only delay the resume.  Rows that exhaust
-        ``max_attempts`` this way quarantine, so an item that reliably
-        kills the runner cannot wedge it in a crash loop.
+        out its lease would only delay the resume.  This is the lease lapse
+        applied to every busy row, so rows that exhaust ``max_attempts`` this
+        way quarantine and an item that reliably kills the runner cannot
+        wedge it in a crash loop.
         """
         now = time.time() if now is None else now
-        recovered = []
-        for row in self.rows:
-            if row.state != BUSY:
-                continue
-            row.attempts += 1
-            row.worker = ""
-            row.lease_expires = 0.0
-            row.updated = now
-            row.error = row.error or "interrupted: run died while this item was busy"
-            if row.attempts >= self.config.max_attempts:
-                row.state = QUARANTINED
-                row.not_before = 0.0
-            else:
-                row.state = OPEN
-                row.not_before = 0.0
-            recovered.append(row)
+        recovered = self._lapse(now, every=True)
         if recovered:
             self.save()
         return recovered
@@ -448,12 +406,7 @@ class Ledger:
                 f"cannot adopt item {index} as done: it is quarantined; "
                 "reopen it explicitly first"
             )
-        row.state = DONE
-        row.worker = ""
-        row.lease_expires = 0.0
-        row.not_before = 0.0
-        row.error = ""
-        row.updated = now
+        self._transition(row, DONE, now, error="")
         self.save()
 
     def quarantine(self, index: int, error: str, now: float | None = None) -> None:
@@ -464,12 +417,7 @@ class Ledger:
         row = self.row(index)
         if row.state == DONE:
             raise LedgerError(f"cannot quarantine item {index}: it is done")
-        row.state = QUARANTINED
-        row.worker = ""
-        row.lease_expires = 0.0
-        row.not_before = 0.0
-        row.error = str(error)
-        row.updated = now
+        self._transition(row, QUARANTINED, now, error=str(error))
         self.save()
 
     def reopen(self, index: int, now: float | None = None) -> None:
@@ -477,32 +425,71 @@ class Ledger:
         re-run a quarantined item after fixing its cause, or re-run a done
         row whose persisted output was lost)."""
         now = time.time() if now is None else now
-        row = self.row(index)
-        row.state = OPEN
-        row.worker = ""
-        row.lease_expires = 0.0
-        row.not_before = 0.0
-        row.updated = now
+        self._transition(self.row(index), OPEN, now)
         self.save()
 
-    # -- internals -------------------------------------------------------------
+    # -- the rules every mutation goes through ---------------------------------
 
-    _lapsed_dirty = False
+    @staticmethod
+    def _transition(
+        row: LedgerRow,
+        state: str,
+        now: float,
+        worker: str = "",
+        lease_expires: float = 0.0,
+        not_before: float = 0.0,
+        error: str | None = None,
+    ) -> None:
+        """The one way a row changes: set ``state`` and the fields it keeps —
+        the holder and lease of a ``busy`` row, the holder of a ``done`` one,
+        the backoff deadline of a ``failed`` one — and reset the rest.
+        ``error``, when given, replaces the recorded reason."""
+        row.state, row.updated = state, now
+        row.worker, row.lease_expires, row.not_before = worker, lease_expires, not_before
+        if error is not None:
+            row.error = error
 
-    def _lapse_expired(self, now: float) -> None:
-        """Busy rows whose lease expired lapse back to the pool, one attempt
-        charged (the worker is presumed dead mid-item)."""
-        self._lapsed_dirty = False
-        for row in self.rows:
-            if row.state != BUSY or row.lease_expires > now:
-                continue
-            row.attempts += 1
-            row.worker = ""
-            row.lease_expires = 0.0
-            row.updated = now
-            row.error = row.error or "lease lapsed: worker stopped heart-beating"
-            if row.attempts >= self.config.max_attempts:
-                row.state = QUARANTINED
-            else:
-                row.state = OPEN
-            self._lapsed_dirty = True
+    def _held(self, index: int, worker: str | None, action: str) -> LedgerRow:
+        """The one holder rule: only a ``busy`` row, held by ``worker`` when
+        one is named, takes a report about its attempt."""
+        row = self.row(index)
+        if row.state != BUSY:
+            raise LedgerError(
+                f"cannot {action} item {index} from state {row.state!r}; only a "
+                "claimed (busy) row can be reported on, and a lapsed lease reopens it"
+            )
+        if worker is not None and row.worker != str(worker):
+            raise LedgerError(
+                f"item {index} is held by worker {row.worker!r}, so it is not busy "
+                f"under worker {worker!r}; its lease may have lapsed and been reclaimed"
+            )
+        return row
+
+    def _charge(self, row: LedgerRow, reason: str, now: float, backoff: bool) -> None:
+        """The one retry policy: an attempt was spent, for ``reason``.  The
+        row quarantines once ``max_attempts`` are spent; otherwise it retries
+        — after the exponential backoff for a reported failure, at once for a
+        lapse."""
+        row.attempts += 1
+        if row.attempts >= self.config.max_attempts:
+            self._transition(row, QUARANTINED, now, error=reason)
+        elif backoff:
+            deadline = now + self.config.backoff(row.attempts)
+            self._transition(row, FAILED, now, not_before=deadline, error=reason)
+        else:
+            self._transition(row, OPEN, now, error=reason)
+
+    def _lapse(self, now: float, every: bool = False) -> list[LedgerRow]:
+        """Charge one attempt to each ``busy`` row whose lease has expired —
+        with ``every``, to each busy row — and return them: the worker that
+        held it is presumed dead mid-item."""
+        lapsed = [
+            row for row in self.rows
+            if row.state == BUSY and (every or row.lease_expires <= now)
+        ]
+        for row in lapsed:
+            reason = f"lease lapsed: worker {row.worker!r} stopped heart-beating"
+            if every:
+                reason = "interrupted: run died while this item was busy"
+            self._charge(row, reason, now, backoff=False)
+        return lapsed

@@ -14,7 +14,11 @@ the lease interval; a worker that dies mid-item simply stops beating and
 the control plane lapses the row back to the pool.  A 409 from the
 control plane (the lease already lapsed and someone else took the row)
 makes the worker drop the item silently — its work is discarded, not
-double-reported.
+double-reported.  A failed persist is a store failure, not an item
+failure: the worker reports the attempt failed (``persist failed: …``),
+flushes nothing more from its writer and stops with :class:`WorkerError`,
+exactly as the in-process runner stops (see
+:func:`repro.jobs.executor.persist_item`).
 
 Per-worker stores are intentionally separate; merging them into one
 archive is the store compaction story (see ROADMAP), not the worker's.
@@ -33,14 +37,14 @@ import urllib.request
 from ..pipeline.builder import AcousticPipeline
 from ..pipeline.executor import stored_recordings
 from ..store.backends import StoreError
-from ..store.writer import open_writer
-from .executor import NO_AUTO_FLUSH, partial_write_reason, persist_item
+from .executor import drain_writer, partial_write_reason, persist_item
 
 __all__ = ["JobWorker", "WorkerError", "ControlPlaneConflict"]
 
 
 class WorkerError(RuntimeError):
-    """The control plane rejected a request or became unreachable."""
+    """The control plane rejected a request or became unreachable, or the
+    worker's store failed to persist an item."""
 
 
 class ControlPlaneConflict(WorkerError):
@@ -77,10 +81,12 @@ class JobWorker:
     def run(self, max_items: int | None = None) -> int:
         """Pull and process work until the ledger settles (or ``max_items``).
 
-        Returns the number of items this worker completed.
+        Returns the number of items this worker completed.  A failed persist
+        (full disk, bad shard) is reported as that item's failed attempt and
+        then stops the worker with :class:`WorkerError`, as it stops the
+        in-process runner: every further persist would hit the same store.
         """
-        features = any(stage.name == "features" for stage in self.pipeline.stages)
-        with open_writer(self.store, flush_values=NO_AUTO_FLUSH) as writer:
+        with drain_writer(self.store) as writer:
             while max_items is None or (self.completed + self.failed) < max_items:
                 reply = self._post("/claim", {"worker": self.worker_id})
                 item = reply.get("item")
@@ -89,33 +95,37 @@ class JobWorker:
                         break
                     time.sleep(min(float(reply.get("retry_after", self.poll)), self.poll))
                     continue
-                self._process(item, float(reply.get("lease", 60.0)), writer, features)
+                self._process(item, float(reply.get("lease", 60.0)), writer)
         return self.completed
 
-    def _process(self, item: dict, lease: float, writer, features: bool) -> None:
-        index = int(item["index"])
+    def _process(self, item: dict, lease: float, writer) -> None:
+        index, recording = int(item["index"]), item["recording"]
         beat = _Heartbeat(self, index, lease)
         beat.start()
-        try:
-            if not _already_persisted(writer, item["recording"]):
-                result = self.pipeline.run(item["source"], sample_rate=self.sample_rate)
-                if writer is not None:
-                    persist_item(writer, item["recording"], item["source"], result, features)
-        except Exception as exc:
+
+        def fail(reason: str) -> None:
             beat.stop()
             self.failed += 1
             try:
-                self._post(
-                    "/fail",
-                    {
-                        "worker": self.worker_id,
-                        "index": index,
-                        "error": f"{type(exc).__name__}: {exc}",
-                    },
-                )
+                self._post("/fail", {"worker": self.worker_id, "index": index, "error": reason})
             except ControlPlaneConflict:
                 pass  # lease lapsed first; the ledger already charged it
+
+        try:
+            result = None
+            if not _already_persisted(writer, recording):
+                result = self.pipeline.run(item["source"], sample_rate=self.sample_rate)
+        except Exception as exc:
+            fail(f"{type(exc).__name__}: {exc}")
             return
+        if result is not None and writer is not None:
+            try:
+                persist_item(writer, recording, item["source"], result, fail)
+            except Exception as exc:
+                raise WorkerError(
+                    f"failed to persist item {index} ({recording!r}) to the store at "
+                    f"{writer.path}: {type(exc).__name__}: {exc}; stopping"
+                ) from exc
         beat.stop()
         try:
             self._post("/done", {"worker": self.worker_id, "index": index})

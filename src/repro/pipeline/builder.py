@@ -400,9 +400,8 @@ class BuiltPipeline:
 
         if station is None:
             station = str(getattr(source, "station_id", "") or "")
-        features = any(stage.name == "features" for stage in self.stages)
         with open_writer(store) as writer:
-            writer.write_result(recording, result, station=station, features=features)
+            writer.write_result(recording, result, station=station)
 
     def run_from_store(
         self, store, recording: str, sample_rate: int | None = None

@@ -254,9 +254,9 @@ def stored_recordings(writer) -> tuple[set[str], set[str]]:
     return complete, set(reader.recordings()) - complete
 
 
-def persist_result(writer, name: str, item, result, features: bool) -> None:
+def persist_result(writer, name: str, item, result) -> None:
     station = str(getattr(item, "station_id", "") or "")
-    writer.write_result(name, result, station=station, features=features)
+    writer.write_result(name, result, station=station)
 
 
 class CorpusExecutor:
@@ -338,7 +338,6 @@ class CorpusExecutor:
             return []
         from ..store.writer import open_writer
 
-        features = self._has_stage("features")
         results: list[PipelineResult] = []
         # An index enters `completed` only once its result is collected
         # *and* persisted, never inferred from a prefix range.
@@ -358,9 +357,7 @@ class CorpusExecutor:
                     # Persist *before* recording completion: a failing
                     # persist must not leave its index in the resume seed.
                     if writer is not None:
-                        self._persist_checked(
-                            writer, names[index], item, result, features, index, completed
-                        )
+                        self._persist_checked(writer, names[index], item, result, index, completed)
                     results.append(result)
                     completed.append(index)
         except CorpusExecutionError as failure:
@@ -400,7 +397,7 @@ class CorpusExecutor:
         return names
 
     def _persist_checked(
-        self, writer, name: str, item, result, features: bool, index: int, completed: list[int]
+        self, writer, name: str, item, result, index: int, completed: list[int]
     ) -> None:
         """Persist one result, wrapping store errors with the resume contract.
 
@@ -409,7 +406,7 @@ class CorpusExecutor:
         exactly when it matters most.
         """
         try:
-            persist_result(writer, name, item, result, features)
+            persist_result(writer, name, item, result)
         except Exception as exc:
             raise corpus_failure(
                 "failed to persist", index, item,

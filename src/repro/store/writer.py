@@ -333,7 +333,9 @@ class StoreWriter:
 
         ``features`` says whether a feature stage ran (it decides between
         ``n_patterns=0`` and ``n_patterns=-1`` for pattern-less ensembles);
-        when None it is inferred from the result's pattern/short accounting.
+        when None it is inferred from the result's pattern/short accounting,
+        which is exact for any result holding an ensemble: behind a feature
+        stage every ensemble has patterns or counts as short.
         """
         if features is None:
             features = (
@@ -395,8 +397,7 @@ class open_writer:
     ``store`` is a directory path (opened with ``flush_values``, closed on
     exit), a live :class:`StoreWriter` (flushed on exit) or None.  The exit
     also runs when the block raises, but then a failing flush is kept as
-    :attr:`flush_error` rather than replacing the exception in flight.  A
-    class, so ``ExitStack.pop_all()`` can drop the exit for good.
+    :attr:`flush_error` rather than replacing the exception in flight.
     """
 
     def __init__(self, store, flush_values: int = DEFAULT_FLUSH_VALUES) -> None:

@@ -47,6 +47,7 @@ from repro.jobs import (
     LedgerConfig,
     LedgerError,
     LedgerService,
+    WorkerError,
     run_corpus,
 )
 from repro.jobs.__main__ import main as jobs_cli
@@ -718,3 +719,91 @@ def _post(url: str, path: str, payload: dict) -> dict:
     )
     with urllib.request.urlopen(request) as response:
         return json.loads(response.read())
+
+
+# -- one item lifecycle --------------------------------------------------------
+
+
+class FullDiskWriter(StoreWriter):
+    """A writer on a full disk: every flush fails before writing a byte."""
+
+    def __init__(self, path) -> None:
+        super().__init__(path)
+        self.flushes = 0
+
+    def flush(self) -> None:
+        self.flushes += 1
+        raise OSError(28, "No space left on device")
+
+
+class TestOneItemLifecycle:
+    """Every spent attempt, every outcome report and every failed persist
+    follows one rule, whichever drain or path it comes through."""
+
+    def test_worker_full_disk_stops_like_the_runner(self, wav_corpus, feature_builder, tmp_path):
+        config = LedgerConfig(max_attempts=2, backoff_base=0.0, backoff_cap=0.0)
+        ledger = Ledger.create(tmp_path / "l.json", wav_corpus, config=config)
+        store = tmp_path / "full.store"
+        writer = FullDiskWriter(store)
+        with LedgerService(ledger) as service:
+            worker = JobWorker(service.url, feature_builder, store=writer, worker_id="w")
+            with pytest.raises(WorkerError, match="No space left on device"):
+                worker.run()
+        final = Ledger.open(tmp_path / "l.json")
+        row = final.row(0)
+        assert (row.state, row.attempts) == (FAILED, 1)
+        assert row.error.startswith("persist failed: OSError")
+        assert "No space left on device" in row.error
+        assert [r.state for r in final.rows[1:]] == [OPEN] * (len(wav_corpus) - 1)
+        # Nothing more was flushed from the writer after its failed persist.
+        assert writer.flushes == 1
+        assert not (store / "manifest.json").exists()
+        assert not any((store / "shards").iterdir())
+
+    def test_stale_fail_report_on_a_lapsed_row_is_refused(self, tmp_path):
+        config = LedgerConfig(max_attempts=3, backoff_base=5.0, lease=10.0)
+        ledger = Ledger.create(tmp_path / "l.json", ["a", "b"], config=config)
+        ledger.claim("C", now=0.0)
+        ledger.claim("A", now=0.0)
+        assert ledger.claim("B", now=30.0).index == 0  # both leases lapsed
+        before = dict(vars(ledger.row(1)))
+        assert (before["state"], before["attempts"]) == (OPEN, 1)
+        with pytest.raises(LedgerError, match="only a claimed"):
+            ledger.mark_failed(1, "late", worker="A", now=31.0)
+        assert vars(ledger.row(1)) == before
+        assert vars(Ledger.open(ledger.path).row(1)) == before
+
+    def test_stale_fail_over_http_is_409(self, tmp_path):
+        config = LedgerConfig(max_attempts=3, backoff_base=0.0, lease=0.05)
+        ledger = Ledger.create(tmp_path / "l.json", ["a", "b"], config=config)
+        with LedgerService(ledger) as service:
+            _post(service.url, "/claim", {"worker": "C"})
+            assert _post(service.url, "/claim", {"worker": "A"})["item"]["index"] == 1
+            time.sleep(0.1)
+            assert _post(service.url, "/claim", {"worker": "B"})["item"]["index"] == 0
+            with pytest.raises(urllib.error.HTTPError) as err:
+                _post(service.url, "/fail", {"worker": "A", "index": 1, "error": "late"})
+            assert err.value.code == 409
+        row = Ledger.open(tmp_path / "l.json").row(1)
+        assert (row.state, row.attempts) == (OPEN, 1)
+
+    def test_recover_busy_quarantine_records_its_own_reason(self, tmp_path):
+        config = LedgerConfig(max_attempts=2, backoff_base=0.0, backoff_cap=0.0)
+        ledger = Ledger.create(tmp_path / "l.json", ["a"], config=config)
+        ledger.claim("w", now=0.0)
+        ledger.mark_failed(0, "ValueError: boom", worker="w", now=0.0)
+        ledger.claim("w", now=1.0)
+        (row,) = ledger.recover_busy(now=2.0)
+        assert row.state == QUARANTINED
+        assert "interrupted" in row.error and "boom" not in row.error
+
+    def test_lease_lapse_quarantine_records_its_own_reason(self, tmp_path):
+        config = LedgerConfig(max_attempts=2, backoff_base=0.0, backoff_cap=0.0, lease=5.0)
+        ledger = Ledger.create(tmp_path / "l.json", ["a"], config=config)
+        ledger.claim("w1", now=0.0)
+        ledger.mark_failed(0, "ValueError: boom", worker="w1", now=0.0)
+        ledger.claim("w1", now=1.0)
+        assert ledger.claim("w2", now=10.0) is None
+        row = Ledger.open(ledger.path).row(0)
+        assert row.state == QUARANTINED
+        assert "lease lapsed" in row.error and "boom" not in row.error

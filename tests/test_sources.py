@@ -121,6 +121,33 @@ class TestWavDirectorySource:
             list(source.stream())
 
 
+class TestTruncatedWav:
+    """A WAV whose data chunk is shorter than its header says is an error
+    naming the missing bytes, by path and by chunk stream alike — never a
+    shorter recording."""
+
+    @staticmethod
+    def truncated(tmp_path, cut: int):
+        path = tmp_path / "cut.wav"
+        write_wav(path, np.zeros(32000), 16000)
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) - cut])
+        return path
+
+    def test_cut_short_file_raises_by_path_and_by_stream(self, tmp_path):
+        path = self.truncated(tmp_path, 20000)
+        pipe = AcousticPipeline().extract(FAST_EXTRACTION).build()
+        with pytest.raises(ValueError, match="20000 bytes missing"):
+            pipe.run(path)
+        with pytest.raises(ChunkSourceError, match="20000 bytes missing"):
+            pipe.run(WavChunkStream(path))
+
+    def test_data_chunk_one_byte_short_names_the_byte(self, tmp_path):
+        path = self.truncated(tmp_path, 1)
+        with pytest.raises(ValueError, match="truncated \\(1 bytes missing\\)"):
+            AcousticPipeline().extract(FAST_EXTRACTION).build().run(str(path))
+
+
 class TestRechunk:
     def test_rechunk_preserves_content_and_sizes(self):
         rng = np.random.default_rng(4)
