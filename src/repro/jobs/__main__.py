@@ -117,10 +117,11 @@ def main(argv: list[str] | None = None) -> int:
     p_init = sub.add_parser("init", help="create a ledger over WAV files/directories")
     p_init.add_argument("ledger")
     p_init.add_argument("sources", nargs="+")
-    p_init.add_argument("--max-attempts", type=int, default=3)
-    p_init.add_argument("--backoff-base", type=float, default=1.0)
-    p_init.add_argument("--backoff-cap", type=float, default=60.0)
-    p_init.add_argument("--lease", type=float, default=60.0)
+    policy = LedgerConfig()
+    p_init.add_argument("--max-attempts", type=int, default=policy.max_attempts)
+    p_init.add_argument("--backoff-base", type=float, default=policy.backoff_base)
+    p_init.add_argument("--backoff-cap", type=float, default=policy.backoff_cap)
+    p_init.add_argument("--lease", type=float, default=policy.lease)
     p_init.set_defaults(func=_cmd_init)
 
     p_status = sub.add_parser(

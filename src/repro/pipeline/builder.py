@@ -28,6 +28,7 @@ streaming engine is chunk-invariant, so all modes agree on their output.
 from __future__ import annotations
 
 import inspect
+import os
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -51,6 +52,19 @@ __all__ = ["AcousticPipeline", "BuiltPipeline", "PipelineBuildError"]
 
 class PipelineBuildError(ValueError):
     """Raised when a pipeline specification cannot be assembled."""
+
+
+def _directory(store) -> str:
+    """The directory ``store`` (a path or a live writer) writes, resolved."""
+    return os.path.realpath(getattr(store, "path", store))
+
+
+def refuse_second_writer(pipeline, store) -> None:
+    """One writer per store path per run: ``store`` may not name a directory
+    a declared store stage of ``pipeline`` writes."""
+    if store is not None and _directory(store) in map(_directory, pipeline._store_paths()):
+        path = getattr(store, "path", store)
+        raise PipelineBuildError(f"a declared 'store' stage already writes {path}; one writer per store path")
 
 
 class AcousticPipeline:
@@ -138,12 +152,24 @@ class AcousticPipeline:
         """The declared (name, kwargs) stage specifications, in order."""
         return [(name, dict(kwargs)) for name, kwargs in self._specs]
 
+    def _store_paths(self) -> list:
+        """Where each declared store stage writes: its path, else its writer's."""
+        return [
+            kwargs.get("path") or kwargs["writer"].path
+            for name, kwargs in self._specs
+            if name == "store" and (kwargs.get("path") or kwargs.get("writer")) is not None
+        ]
+
     def _validate(self) -> None:
         names = [name for name, _ in self._specs]
         if not names:
             raise PipelineBuildError(
                 "empty pipeline: declare at least an extract stage"
             )
+        paths = self._store_paths()
+        for index, path in enumerate(paths):
+            if _directory(path) in map(_directory, paths[:index]):
+                raise PipelineBuildError(f"two 'store' stages write {path}; one writer per store path")
         for builtin in ("extract", "features", "classify"):
             if names.count(builtin) > 1:
                 raise PipelineBuildError(f"duplicate {builtin!r} stage")
@@ -318,6 +344,13 @@ class BuiltPipeline:
         extract = self.extract_stage
         return extract.config.sample_rate if extract is not None else 22050
 
+    def _store_paths(self) -> list:
+        return [
+            stage.path if stage.path is not None else stage.writer.path
+            for stage in self.stages
+            if stage.name == "store"
+        ]
+
     def patterns_for(self, samples: np.ndarray) -> list[np.ndarray]:
         """Feature patterns for a raw sample array (reference songs etc.).
 
@@ -375,10 +408,15 @@ class BuiltPipeline:
         ``store`` persists the result into a feature store — a directory
         path or an open :class:`~repro.store.StoreWriter` — as the new
         recording ``recording`` (a held name raises; omitted, the writer
-        names it); ``station`` defaults to the source's ``station_id``.
+        names it); ``station`` defaults to the source's ``station_id``.  A
+        declared store stage records the same station, and ``store`` may
+        not name the path such a stage writes (:class:`PipelineBuildError`).
         """
+        refuse_second_writer(self, store)
+        if station is None:
+            station = str(getattr(source, "station_id", "") or "")
         chunks, rate = self._coerce_source(source, sample_rate)
-        events = list(self._execute(chunks, rate))
+        events = list(self._execute(chunks, rate, station))
         extract = self.extract_stage
         scores, trigger = extract.traces() if extract is not None else (None, None)
         total = extract.samples_seen if extract is not None else 0
@@ -392,16 +430,11 @@ class BuiltPipeline:
         if extract is not None:
             result.trace_offset = extract.trace_offset
         if store is not None:
-            self._persist_result(store, result, source, recording, station)
+            from ..store.writer import open_writer
+
+            with open_writer(store) as writer:
+                writer.write_result(recording, result, station=station)
         return result
-
-    def _persist_result(self, store, result, source, recording, station) -> None:
-        from ..store.writer import open_writer
-
-        if station is None:
-            station = str(getattr(source, "station_id", "") or "")
-        with open_writer(store) as writer:
-            writer.write_result(recording, result, station=station)
 
     def run_from_store(
         self, store, recording: str, sample_rate: int | None = None
@@ -541,11 +574,13 @@ class BuiltPipeline:
         return samples if samples.ndim == 1 else samples[0]
 
     def _execute(
-        self, chunks: Iterable[np.ndarray], sample_rate: int
+        self, chunks: Iterable[np.ndarray], sample_rate: int, station: str = ""
     ) -> Iterator[PipelineEvent]:
         for stage in self.stages:
             stage.reset()
             stage.start(sample_rate)
+            if stage.name == "store":
+                stage.begin(None, station)
         offset = 0
         for chunk in chunks:
             arr = np.asarray(chunk, dtype=float).ravel()

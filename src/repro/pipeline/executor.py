@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .builder import AcousticPipeline, BuiltPipeline, PipelineBuildError
+from .builder import AcousticPipeline, BuiltPipeline, PipelineBuildError, refuse_second_writer
 from .results import PipelineResult
 
 __all__ = ["CorpusExecutor", "CorpusExecutionError", "BACKENDS"]
@@ -315,9 +315,11 @@ class CorpusExecutor:
         collected, under ``recordings`` names (default
         :func:`~repro.store.schema.recording_name` of the corpus index,
         ``rec-00000`` …); a name the store already holds fails that item,
-        so a corpus is never appended twice.  Results are collected in
-        corpus order on every backend, so a failure leaves exactly the
-        items in :attr:`CorpusExecutionError.completed` persisted.  The first
+        so a corpus is never appended twice, and a path a declared store
+        stage writes is refused (``PipelineBuildError``).  Results are
+        collected in corpus order on every backend, so a failure leaves
+        exactly the items in :attr:`CorpusExecutionError.completed`
+        persisted.  The first
         failure aborts the run on every backend: items the workers have
         not started yet are cancelled, not run.
         """
@@ -331,6 +333,7 @@ class CorpusExecutor:
                 "store= to run_corpus() — results are then persisted in the "
                 "parent as they are collected"
             )
+        refuse_second_writer(self._pipeline or self.builder, store)
         names = None
         if store is not None:
             names = self._recording_names(items, recordings)

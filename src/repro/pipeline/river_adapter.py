@@ -95,6 +95,7 @@ from ..river.records import (
     open_scope,
 )
 from ..synth.clips import AcousticClip
+from .builder import refuse_second_writer
 from .results import (
     ENSEMBLE_EVENTS,
     ClassifiedEvent,
@@ -707,13 +708,18 @@ def _normalize_fan_out(fan_out, stages: list[Stage]) -> dict[str, int]:
         per_stage = {
             stage.name: int(fan_out)
             for stage in stages
-            if not isinstance(stage, ExtractStage)
+            if not isinstance(stage, ExtractStage) and stage.name != "store"
         }
     for stage_name, count in per_stage.items():
         if count < 1:
             raise ValueError(
                 f"fan_out for stage {stage_name!r} must be >= 1, got {count}"
             )
+    if "store" in per_stage:
+        raise ValueError(
+            "the store sink persists through a single writer and cannot be "
+            "fanned out"
+        )
     extract_names = {s.name for s in stages if isinstance(s, ExtractStage)}
     fanned_extract = [n for n, k in per_stage.items() if n in extract_names and k > 1]
     if fanned_extract:
@@ -722,44 +728,6 @@ def _normalize_fan_out(fan_out, stages: list[Stage]) -> dict[str, int]:
             f"fanned out (requested fan_out for {fanned_extract[0]!r})"
         )
     return per_stage
-
-
-def _store_sink_operators(store_stages: list[Stage], store) -> list[Operator]:
-    """Build the tail store sinks for a compiled river graph.
-
-    One sink per distinct store path, sourced from declared ``store`` stages
-    (which compile to sinks rather than in-graph stages — a sink survives
-    segment cuts and fan-out untouched) plus the explicit ``store=`` path.
-    """
-    if not store_stages and store is None:
-        return []
-    from ..store.backends import StoreError
-    from ..store.river_sink import StoreSinkOperator
-
-    sinks: list[Operator] = []
-    seen: set[str] = set()
-
-    def _name() -> str:
-        return "store-sink" if not sinks else f"store-sink-{len(sinks)}"
-
-    for stage in store_stages:
-        if stage.path is None:
-            raise StoreError(
-                "a store stage compiled into a river graph needs path= — a "
-                "live StoreWriter cannot cross segment or process boundaries"
-            )
-        path = str(stage.path)
-        if path in seen:
-            continue
-        seen.add(path)
-        sinks.append(
-            StoreSinkOperator(
-                path, backend=stage.backend, flush_values=stage.flush_values, name=_name()
-            )
-        )
-    if store is not None and str(store) not in seen:
-        sinks.append(StoreSinkOperator(str(store), name=_name()))
-    return sinks
 
 
 def compile_to_river(
@@ -785,45 +753,30 @@ def compile_to_river(
     ``"roundrobin"``).  Fan-out never changes the output: the merge restores
     corpus order, so the record stream is bit-identical to ``fan_out=1``.
 
-    ``store`` (a directory path) appends a
-    :class:`~repro.store.StoreSinkOperator` at the graph's tail, persisting
-    every ensemble scope as it streams past; declared ``store`` stages
-    compile to the same tail sinks (never to in-graph stages, so fan-out and
-    segment cuts flow around them unchanged).
+    The graph compiles in declaration order.  A declared ``store`` stage
+    becomes a :class:`~repro.store.StoreSinkOperator` wrapping that stage at
+    its own position — it stores what that position sees, exactly as the
+    stage does in process — and ``store`` (a directory path) appends one at
+    the tail.  A sink forwards every record, so fan-out and segment cuts
+    flow around it; it is never fanned out.  ``store`` naming a path a
+    declared store stage writes raises
+    :class:`~repro.pipeline.builder.PipelineBuildError`.
     """
-    all_stages = builder.instantiate(keep_traces=False)
-    store_stages = [stage for stage in all_stages if stage.name == "store"]
-    indexed = [
-        (index, stage)
-        for index, stage in enumerate(all_stages)
-        if stage.name != "store"
-    ]
-    stages = [stage for _, stage in indexed]
-    if isinstance(fan_out, dict) and "store" in fan_out:
-        raise ValueError(
-            "the store sink persists through a single writer and cannot be "
-            "fanned out"
-        )
+    refuse_second_writer(builder, store)
+    stages = builder.instantiate(keep_traces=False)
     _prefer_streaming_features(stages)
     per_stage = _normalize_fan_out(fan_out, stages)
-    # One independent instantiation per extra replica slot — of exactly the
-    # stage being fanned out — so replica stages never share mutable state
-    # (the classifier object itself is shared by construction, exactly as
-    # thread workers share it).
-    spare_stages = {
-        spec_index: [
-            builder.instantiate(only={spec_index}, keep_traces=False)[0]
-            for _ in range(per_stage[stage.name] - 1)
-        ]
-        for spec_index, stage in indexed
-        if per_stage.get(stage.name, 1) > 1
-    }
-    for spares in spare_stages.values():
-        _prefer_streaming_features(spares)
+    if store is not None:
+        stages.append(builder.registry.create("store", path=store))
     operators: list[Operator] = []
-    for spec_index, stage in indexed:
+    for spec_index, stage in enumerate(stages):
         if isinstance(stage, ExtractStage):
             operators.append(ExtractStageOperator(stage))
+            continue
+        if stage.name == "store":
+            from ..store.river_sink import StoreSinkOperator
+
+            operators.append(StoreSinkOperator(stage, name=f"store-sink-{spec_index}"))
             continue
         count = per_stage.get(stage.name, 1)
         if count == 1:
@@ -834,7 +787,14 @@ def compile_to_river(
                 count, partition=partition, name=f"{stage.name}-partition"
             )
         )
-        replicas = [stage] + spare_stages[spec_index]
+        # One independent instantiation per extra replica — of exactly the
+        # stage being fanned out — so replicas never share mutable state
+        # (the classifier object itself is shared by construction, exactly
+        # as thread workers share it).
+        replicas = [stage] + [
+            builder.instantiate(only={spec_index}, keep_traces=False)[0] for _ in range(count - 1)
+        ]
+        _prefer_streaming_features(replicas)
         for replica_index, replica_stage in enumerate(replicas):
             operators.append(
                 EnsembleStageOperator(
@@ -845,7 +805,6 @@ def compile_to_river(
                 )
             )
         operators.append(EnsembleMergeOperator(name=f"{stage.name}-merge"))
-    operators.extend(_store_sink_operators(store_stages, store))
     return RiverPipeline(operators, name=name)
 
 
@@ -907,8 +866,12 @@ def _coerce_hosts(hosts) -> dict[str, float]:
             raise ValueError(f"hosts must be >= 1, got {hosts}")
         return {f"host-{index}": 1000.0 for index in range(hosts)}
     if isinstance(hosts, dict):
-        return {str(name): float(speed) for name, speed in hosts.items()}
-    return {str(name): 1000.0 for name in hosts}
+        named = {str(name): float(speed) for name, speed in hosts.items()}
+    else:
+        named = {str(name): 1000.0 for name in hosts}
+    if not named:
+        raise ValueError(f"hosts must name at least one host, got {hosts!r}")
+    return named
 
 
 def deploy_clips_via_river(

@@ -20,17 +20,19 @@ through its one :meth:`~StoreWriter.write_ensemble` sequence):
   persist results as they complete;
 * ``.stage("store", path=...)`` plugs a pass-through
   :class:`StoreWriterStage` into the stage graph — fragment streams are
-  appended event by event, so a still-open ensemble never buffers whole;
-* ``to_river(store=path)`` / ``deploy(..., store=path)`` append a
-  :class:`StoreSinkOperator` to the compiled river graph — the same store
-  stage, fed the events the river's scope decoder reads off the record
-  stream — so simulated and process-fabric runs persist while they stream
-  and store exactly what a batch run stores.
+  appended event by event, so a still-open ensemble never buffers whole.
+  It stores what its position sees on every fabric: a compiled river graph
+  runs the declared stage there as a :class:`StoreSinkOperator`, fed the
+  events the river's scope decoder reads off the record stream;
+* ``to_river(store=path)`` / ``deploy(..., store=path)`` append a store
+  stage at the graph's tail.
 
 A recording is written once: every path hands the writer the name (or
 None, for the first free :func:`~repro.store.schema.recording_name`), and
 :meth:`StoreWriter.begin_recording` raises :class:`StoreError` for a name
-the store already holds.  Every path gets its writer from :class:`open_writer`.
+the store already holds.  A store path takes one writer per run: a second
+store stage on it, or ``store=`` naming it next to a store stage, is a
+:class:`~repro.pipeline.PipelineBuildError`.
 
 Read paths: :class:`StoreReader` iterates stored ensembles/patterns with
 station/time/label filters, ``BuiltPipeline.run_from_store()`` /

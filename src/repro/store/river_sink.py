@@ -1,14 +1,18 @@
 """A Dynamic River sink operator persisting record streams as they flow.
 
-:class:`StoreSinkOperator` sits at the tail of a compiled river graph
-(``to_river(store=...)`` / ``deploy(store=...)`` appends it).  It reads the
-clip scope for what only the stream knows (recording name, station,
+:class:`StoreSinkOperator` is a declared ``"store"`` stage compiled into a
+river graph: ``compile_to_river`` wraps each declared
+:class:`StoreWriterStage` in one, at the stage's own position, and
+``to_river(store=...)`` / ``deploy(..., store=...)`` append one at the tail.
+It reads the clip scope for what only the stream knows (clip index, station,
 ``total_samples``), decodes ensemble scopes with the river codec —
 :class:`~repro.pipeline.river_adapter.ScopeDecoder`, streaming, so a
 fragmented scope is appended slice by slice while still open — and hands the
-events to a :class:`StoreWriterStage`, which does all the persisting.
-Records are forwarded unchanged.  A bad-closed (truncated) scope is
-abandoned, never sealed: what it already flushed reads as incomplete.
+events to the stage, which does all the persisting and applies its one naming
+and station rule (:meth:`StoreWriterStage.begin`).  Records are forwarded
+unchanged, so fan-out and segment cuts flow around the sink wherever it sits.
+A bad-closed (truncated) scope is abandoned, never sealed: what it already
+flushed reads as incomplete.
 """
 
 from __future__ import annotations
@@ -18,46 +22,29 @@ from ..river.operator_base import Operator
 from ..river.records import Record, ScopeType
 from .backends import StoreError
 from .schema import recording_name
-from .stage import STAGE_FLUSH_VALUES, StoreWriterStage
+from .stage import StoreWriterStage
 
 __all__ = ["StoreSinkOperator"]
 
 
 class StoreSinkOperator(Operator):
-    """Persist ensemble scopes to a store while forwarding every record."""
+    """Persist ensemble scopes to a store while forwarding every record.
 
-    def __init__(
-        self,
-        path,
-        backend: str = "auto",
-        flush_values: int = STAGE_FLUSH_VALUES,
-        name: str = "store-sink",
-    ) -> None:
+    ``store`` is a declared :class:`StoreWriterStage` or a store directory
+    path (a default stage on that path).
+    """
+
+    def __init__(self, store, name: str = "store-sink") -> None:
         super().__init__(name)
-        if path is None:
+        stage = store if isinstance(store, StoreWriterStage) else StoreWriterStage(store)
+        if stage.path is None:
             raise StoreError(
-                "the river store sink needs a store path (a live writer "
-                "cannot cross process boundaries)"
+                "a store stage compiled into a river graph needs path= — a "
+                "live StoreWriter cannot cross segment or process boundaries"
             )
-        self.path = str(path)
-        self.backend = backend
-        self.flush_values = flush_values
+        self.stage = stage
         self._clip_count = 0
         self._decoder = ScopeDecoder(stream=True)
-        self._stage: StoreWriterStage | None = None
-
-    def __getstate__(self) -> dict:
-        # Picklable for the process fabric: the live writer never crosses a
-        # process boundary, each process re-opens the store lazily by path.
-        return {**self.__dict__, "_stage": None}
-
-    @property
-    def stage(self) -> StoreWriterStage:
-        if self._stage is None:
-            self._stage = StoreWriterStage(
-                self.path, backend=self.backend, flush_values=self.flush_values
-            )
-        return self._stage
 
     def process(self, record: Record) -> list[Record]:
         if record.is_end:
@@ -70,11 +57,9 @@ class StoreSinkOperator(Operator):
         elif record.is_open:
             index = record.context.get("clip_index", self._clip_count)
             self._clip_count += 1
-            stage = self.stage
-            stage.reset()
-            stage.recording = recording_name(index)
-            stage.station = record.context.get("station_id") or ""
-            stage.start(int(record.context.get("sample_rate", 0)))
+            self.stage.reset()
+            self.stage.start(int(record.context.get("sample_rate", 0)))
+            self.stage.begin(recording_name(index), record.context.get("station_id") or "")
         elif record.is_close:
             # Completes the recording; outside a clip scope the stage has no
             # recording and ignores every event.
@@ -85,14 +70,13 @@ class StoreSinkOperator(Operator):
 
     def flush(self) -> list[Record]:
         # A clip still open here was truncated: its recording stays incomplete.
-        if self._stage is not None:
-            self._stage.writer.flush()
-            self._stage.reset()
+        if self._clip_count:
+            self.stage.writer.flush()
+            self.stage.reset()
         self._decoder.reset()
         return []
 
     def reset(self) -> None:
         super().reset()
         self._decoder.reset()
-        if self._stage is not None:
-            self._stage.reset()
+        self.stage.reset()

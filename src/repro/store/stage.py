@@ -17,8 +17,10 @@ relays a stream's ``n_patterns`` stamp — says so for its ensemble, and
 :class:`~repro.pipeline.builder.BuiltPipeline` stamps
 :attr:`expect_features` for the whole graph when it assembles it.
 
-The river's :class:`~repro.store.StoreSinkOperator` persists through this
-stage too, so every path shares one session and ``n_patterns`` accounting.
+The river's :class:`~repro.store.StoreSinkOperator` runs the declared stage
+where the graph declares it, so every fabric stores what the position sees;
+:meth:`StoreWriterStage.begin` is the one naming and station rule both
+callers (it and :class:`~repro.pipeline.builder.BuiltPipeline`) go through.
 """
 
 from __future__ import annotations
@@ -87,16 +89,24 @@ class StoreWriterStage(Stage):
             )
         return self._writer
 
+    def __getstate__(self) -> dict:
+        # The live writer never crosses a process boundary: a copy re-opens
+        # the store by path when it first writes.
+        return {**self.__dict__, "_writer": None}
+
     # -- lifecycle -------------------------------------------------------------
 
     def start(self, sample_rate: int) -> None:
-        """Begin this run's recording: ``recording`` when set (a name the
-        store already holds raises), else the writer's next free name."""
         self.sample_rate = int(sample_rate)
-        self._ordinal = 0
-        self._seen = 0
+
+    def begin(self, recording: str | None, station: str) -> None:
+        """Open this run's recording: the declared ``recording`` / ``station``
+        when set, else the caller's ``recording`` (None: the writer's first
+        free name) and ``station``.  A name the store already holds raises."""
         self._current = self.writer.begin_recording(
-            self.recording, station=self.station, sample_rate=self.sample_rate
+            self.recording if self.recording is not None else recording,
+            station=self.station or station,
+            sample_rate=self.sample_rate,
         )
 
     def reset(self) -> None:
