@@ -9,7 +9,8 @@ the paper highlights as Dynamic River's advantages:
 * **dynamic recomposition** — an overloaded segment is relocated to a faster
   host mid-run, guided by the QoS monitor, without corrupting the stream;
 * **fault resilience** — a host failure mid-clip is repaired downstream with
-  BadCloseScope records so every scope stays balanced;
+  BadCloseScope records so every scope stays balanced, and the tail store
+  keeps the cut clip's recording incomplete instead of sealing it;
 * **per-stage fan-out** — ``to_river(fan_out=2)`` compiles two feature
   replicas behind a deterministic partition/merge pair, the
   ``StationScheduler`` spreads them over distinct hosts, and the merged
@@ -23,6 +24,9 @@ Run with:  python examples/distributed_pipeline.py
 """
 
 from __future__ import annotations
+
+import shutil
+import tempfile
 
 import numpy as np
 
@@ -41,6 +45,7 @@ from repro.river import (
     validate_stream,
 )
 from repro.river.operators import ClipSource
+from repro.store import StoreReader
 from repro.synth import ClipBuilder, get_species
 
 SAMPLE_RATE = 16000
@@ -73,9 +78,10 @@ def build_pipeline(rng: np.random.Generator):
 def run_scenario(fail_relay: bool) -> None:
     rng = np.random.default_rng(11)
     clips = build_clips(4, rng)
+    store = tempfile.mkdtemp(prefix="distributed-store-")
     # to_river() compiles the stage graph into one operator per stage:
-    # extract-stage -> features-stage -> classify-stage.
-    operators = build_pipeline(rng).to_river().operators
+    # extract-stage -> features-stage -> classify-stage -> store-sink.
+    operators = build_pipeline(rng).to_river(store=store).operators
 
     deployment = Deployment(batch_size=8)
     deployment.add_host(Host("field-node", speed=300.0))    # slow embedded box
@@ -95,9 +101,14 @@ def run_scenario(fail_relay: bool) -> None:
         name="classify", pipeline=Pipeline([operators[2]], name="classify"),
         input_channel=seg_features.output_channel,
     )
+    seg_store = PipelineSegment(
+        name="store", pipeline=Pipeline([operators[3]], name="store"),
+        input_channel=seg_classify.output_channel,
+    )
     deployment.place(seg_extract, "field-node")
     deployment.place(seg_features, "relay")
     deployment.place(seg_classify, "observatory")
+    deployment.place(seg_store, "observatory")
 
     for record in ClipSource(clips, record_size=4096).generate():
         source_channel.put(record)
@@ -117,7 +128,7 @@ def run_scenario(fail_relay: bool) -> None:
             victims = deployment.fail_host("relay")
             print(f"            aborted segments: {victims}")
 
-    outputs = list(seg_classify.drain_output())
+    outputs = list(seg_store.drain_output())
     summary = scope_repair_summary(outputs)
     result = collect_result(outputs, sample_rate=SAMPLE_RATE)
     labelled = [label for label in result.labels if label is not None]
@@ -128,6 +139,11 @@ def run_scenario(fail_relay: bool) -> None:
     print(f"  scopes: {summary.open_scopes} opened, {summary.close_scopes} closed cleanly, "
           f"{summary.bad_close_scopes} closed by repair -> balanced={summary.balanced}")
     print(f"  stream validates: {validate_stream(outputs, strict=False) == []}")
+    # A clip cut short by the failure is stored, but never sealed complete.
+    reader = StoreReader(store)
+    complete = [name for name in reader.recordings() if reader.recording_info(name).complete]
+    print(f"  store: complete={complete} incomplete={reader.incomplete()['recordings']}")
+    shutil.rmtree(store)
     for event, detail in deployment.events:
         print(f"    event: {event:<12} {detail}")
     print()

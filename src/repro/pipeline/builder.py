@@ -459,8 +459,7 @@ class BuiltPipeline:
             if not isinstance(stage, ExtractStage) and stage.name != "store"
         ]
         for stage in stages:
-            stage.reset()
-            stage.start(rate)
+            begin_run(stage, rate)
         events: list[PipelineEvent] = []
         for stored in reader.iter_ensembles(recording=recording):
             if stored.n_patterns >= 0:
@@ -470,7 +469,7 @@ class BuiltPipeline:
             else:
                 event = EnsembleEvent(ensemble=stored.ensemble)
             events.extend(_push(stages, [event]))
-        events.extend(_flush(stages))
+        events.extend(_flush(stages, info.total_samples))
         return PipelineResult.from_events(
             events, sample_rate=rate, total_samples=info.total_samples
         )
@@ -576,26 +575,37 @@ class BuiltPipeline:
     def _execute(
         self, chunks: Iterable[np.ndarray], sample_rate: int, station: str = ""
     ) -> Iterator[PipelineEvent]:
+        """One run of every stage over ``chunks`` — the lifecycle a river
+        clip scope gives each stage operator too."""
         for stage in self.stages:
-            stage.reset()
-            stage.start(sample_rate)
-            if stage.name == "store":
-                stage.begin(None, station)
+            begin_run(stage, sample_rate, None, station)
         offset = 0
         for chunk in chunks:
             arr = np.asarray(chunk, dtype=float).ravel()
             signal = SignalChunk(samples=arr, sample_rate=sample_rate, offset=offset)
             offset += arr.size
             yield from _push(self.stages, [signal])
-        # Stages downstream of extract never see SignalChunks (extract
-        # consumes them), so observers that account stream length — the
-        # store stage writes it as the recording's total_samples — get the
-        # final offset pushed to them before their flush runs.
-        for stage in self.stages:
-            observe = getattr(stage, "observe_stream_end", None)
-            if observe is not None:
-                observe(offset)
-        yield from _flush(self.stages)
+        yield from _flush(self.stages, offset)
+
+
+def begin_run(stage: Stage, rate: int, recording: str | None = None, station: str = "") -> None:
+    """Begin one run of ``stage`` at ``rate``; a store stage opens its
+    ``recording`` (None: the writer names it) at ``station``."""
+    stage.reset()
+    stage.start(rate)
+    if stage.name == "store":
+        stage.begin(recording, station)
+
+
+def end_run(stage: Stage, total_samples: int | None) -> list[PipelineEvent]:
+    """End ``stage``'s run over ``total_samples`` samples and return its
+    flush; a store stage seals its recording only over a known length."""
+    if stage.name == "store":
+        if total_samples is None:
+            stage.reset()
+            return []
+        stage.observe_stream_end(total_samples)
+    return stage.flush()
 
 
 def _push(stages: list[Stage], events: list[PipelineEvent]) -> list[PipelineEvent]:
@@ -608,14 +618,14 @@ def _push(stages: list[Stage], events: list[PipelineEvent]) -> list[PipelineEven
     return events
 
 
-def _flush(stages: list[Stage]) -> list[PipelineEvent]:
-    """End of stream: flush each stage once, pushing its flushed events
+def _flush(stages: list[Stage], total_samples: int) -> list[PipelineEvent]:
+    """End of stream: end each stage's run once, pushing its flushed events
     through the stages downstream of it (single pass, like
     :meth:`repro.river.Pipeline.flush`)."""
     pending: list[PipelineEvent] = []
     for stage in stages:
         pending = _push([stage], pending)
-        pending.extend(stage.flush())
+        pending.extend(end_run(stage, total_samples))
     return pending
 
 

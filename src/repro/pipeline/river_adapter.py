@@ -31,7 +31,8 @@ one codec — :func:`event_to_records` writes, :class:`ScopeDecoder` reads.
       CloseScope  {[n_patterns: 0]}
 
   The opener is long gone when a pumping operator learns that no pattern
-  completed, so here the ``n_patterns`` stamp rides on the close.
+  completed, so here the ``n_patterns`` stamp rides on the close — only
+  when its stage consumed the audio and made no pattern.
 
 A BadCloseScope (scope repair after an upstream truncation) voids the scope
 in either shape.  Both shapes decode to the same events, so fragment mode
@@ -47,6 +48,9 @@ changes memory and latency, never output.
   fragmented scope is *pumped* instead: its records pass straight through
   while the stage sees them as fragment events, and each pattern the stage
   completes is appended to the open scope.
+
+Both run their stage once per clip scope, as one in-process ``run()`` does
+(``_StageOperator``); the store sink is an ensemble operator too.
 
 Per-stage **fan-out** (``to_river(fan_out=k)``) compiles k replicas of a
 per-ensemble stage behind a deterministic partition/merge pair::
@@ -89,13 +93,14 @@ from ..river.records import (
     Record,
     ScopeType,
     Subtype,
+    bad_close_scope,
     close_scope,
     data_record,
     fragment_record,
     open_scope,
 )
 from ..synth.clips import AcousticClip
-from .builder import refuse_second_writer
+from .builder import begin_run, end_run, refuse_second_writer
 from .results import (
     ENSEMBLE_EVENTS,
     ClassifiedEvent,
@@ -135,6 +140,7 @@ ROUTING_REPLICA = "fanout_replica"
 ROUTING_ORDINAL = "fanout_ordinal"
 
 _ENSEMBLE = ScopeType.ENSEMBLE.value
+_CLIP = ScopeType.CLIP.value
 
 
 def event_to_records(event: PipelineEvent, depth: int, index: int) -> list[Record]:
@@ -298,26 +304,89 @@ class ScopeDecoder:
         return [EnsembleEvent(ensemble)]
 
 
-class ExtractStageOperator(Operator):
+class _StageOperator(Operator):
+    """One run of the wrapped stage per clip scope: ``begin_run`` at its
+    OpenScope (recording ``recording_name(clip_index)``), ``end_run`` at its
+    CloseScope with the flushed events encoded inside the clip.  A
+    BadCloseScope, or a clip still open at END_OF_STREAM, abandons the run
+    unflushed.  A bare stream is one run ended at END_OF_STREAM over an
+    unknown length, so a store stage leaves its recording incomplete."""
+
+    def __init__(self, stage: Stage, name: str) -> None:
+        super().__init__(name)
+        self.stage = stage
+        self._depth = 0
+        #: None between runs, else whether a clip scope began this one.
+        self._clip: bool | None = None
+
+    def _encode(self, events: list[PipelineEvent]) -> list[Record]:
+        """The records of events the stage flushed, at the clip's depth."""
+        raise NotImplementedError
+
+    def _begin(self, rate: int, clip: Record | None = None) -> None:
+        recording, station = None, ""
+        if clip is not None:
+            from ..store.schema import recording_name
+
+            self._depth = clip.scope + 1
+            index = clip.context.get("clip_index")
+            recording = None if index is None else recording_name(index)
+            station = clip.context.get("station_id") or ""
+        begin_run(self.stage, rate, recording, station)
+        self._clip = clip is not None
+
+    def _finish(self, total_samples: int | None) -> list[Record]:
+        """End the run over ``total_samples`` samples (None: unknown)."""
+        self._clip = None
+        return self._encode(end_run(self.stage, total_samples))
+
+    def _abandon(self) -> list[Record]:
+        self._clip = None
+        self.stage.reset()
+        return []
+
+    def _boundary(self, record: Record) -> list[Record] | None:
+        """What a clip scope record or END_OF_STREAM becomes (None: neither)."""
+        if record.is_end:
+            return self.flush() + [record]
+        if record.scope_type != _CLIP or record.is_data:
+            return None
+        if record.is_open:
+            self._begin(int(record.context.get("sample_rate", 0)), record)
+        elif self._clip:
+            total = int(record.context.get("total_samples", 0))
+            return (self._abandon() if record.is_bad_close else self._finish(total)) + [record]
+        return [record]
+
+    def flush(self) -> list[Record]:
+        if self._clip is None:
+            return []
+        return self._abandon() if self._clip else self._finish(None)
+
+    def reset(self) -> None:
+        super().reset()
+        self._abandon()
+
+
+class ExtractStageOperator(_StageOperator):
     """Run the extract stage over clip-scoped audio records.
 
     The output stream contains ensembles only (like the classic ``cutter``
     operator): an ensemble scope per completed ensemble, with the clip's
     scope records forwarded around them — buffered scopes, or with
     ``ExtractStage(emit="fragments")`` fragmented ones streamed while the
-    run is still open (see the module docstring for both shapes).
+    run is still open (see the module docstring for both shapes).  Every
+    clip close carries ``total_samples``, the audio its run saw; a run
+    abandoned mid-ensemble bad-closes the fragmented scope it left open.
     """
 
     def __init__(self, stage: ExtractStage, name: str = "extract-stage") -> None:
-        super().__init__(name)
-        self.stage = stage
-        self._depth = 0
+        super().__init__(stage, name)
         self._index = 0
-        self._offset = 0
-        self._in_clip = False
-        self._frag_sequence = 0
+        #: Next fragment of fragmented scope ``_index`` (None: none open).
+        self._frag_sequence: int | None = None
 
-    def _emit(self, events: list[PipelineEvent]) -> list[Record]:
+    def _encode(self, events: list[PipelineEvent]) -> list[Record]:
         records: list[Record] = []
         for event in events:
             if not isinstance(event, (EnsembleFragmentEvent, EnsembleEvent)):
@@ -333,58 +402,51 @@ class ExtractStageOperator(Operator):
                 else:
                     # A whole ensemble or a fragment close ends scope `index`.
                     self._index += 1
+                    self._frag_sequence = None
             records.extend(event_to_records(event, self._depth, index))
         return records
 
-    def _flush_stage(self) -> list[Record]:
-        # Flush unconditionally: a trailing open ensemble must be emitted
-        # even on streams without clip scopes (e.g. a raw uplink source
-        # ending in END_OF_STREAM).  A second flush after a clip close is a
-        # harmless no-op.
-        self._in_clip = False
-        return self._emit(self.stage.flush())
+    def _begin(self, rate: int, clip: Record | None = None) -> None:
+        super()._begin(rate, clip)
+        self._index = 0
+
+    def _abandon(self) -> list[Record]:
+        records = super()._abandon()
+        if self._frag_sequence is not None:  # abandoned mid-ensemble
+            records.append(bad_close_scope(self._depth, _ENSEMBLE, self._index))
+            self._frag_sequence = None
+        return records
 
     def process(self, record: Record) -> list[Record]:
-        if record.is_open and record.scope_type == ScopeType.CLIP.value:
-            self.stage.reset()
-            self.stage.start(
-                int(record.context.get("sample_rate", self.stage.config.sample_rate))
-            )
-            self._depth = record.scope + 1
-            self._index = 0
-            self._offset = 0
-            self._in_clip = True
-            return [record]
-        if record.is_close and record.scope_type == ScopeType.CLIP.value:
-            outputs = self._flush_stage()
+        if record.is_close and record.scope_type == _CLIP:
             record.context = {**record.context, "total_samples": self.stage.samples_seen}
-            outputs.append(record)
+        outputs = self._boundary(record)
+        if outputs is not None:
             return outputs
-        if record.is_end:
-            return self._flush_stage() + [record]
         if not (record.is_data and record.subtype == Subtype.AUDIO.value):
             return [record]
+        if self._clip is None:
+            self._begin(self.stage.sample_rate)
         chunk = SignalChunk(
             samples=record.payload,
             sample_rate=self.stage.sample_rate,
-            offset=self._offset,
+            offset=self.stage.samples_seen,
         )
-        self._offset += chunk.samples.size
-        return self._emit(self.stage.process(chunk))
-
-    def flush(self) -> list[Record]:
-        return self._flush_stage()
-
-    def reset(self) -> None:
-        super().reset()
-        self.stage.reset()
-        self._index = 0
-        self._offset = 0
-        self._in_clip = False
-        self._frag_sequence = 0
+        return self._encode(self.stage.process(chunk))
 
 
-class EnsembleStageOperator(Operator):
+def _ensemble_records(events: list[PipelineEvent], depth: int, index: int) -> list[Record]:
+    """Scopes of the whole ensembles among ``events``; markers and partial
+    per-pattern events mean something only while pumping."""
+    return [
+        record
+        for event in events
+        if isinstance(event, ENSEMBLE_EVENTS) and event.ensemble is not None
+        for record in event_to_records(event, depth, index)
+    ]
+
+
+class EnsembleStageOperator(_StageOperator):
     """Run a per-ensemble stage (features, classify, plugins) over scopes.
 
     With ``replica`` set, the operator is one instance of a fan-out group:
@@ -409,42 +471,28 @@ class EnsembleStageOperator(Operator):
         replica: int | None = None,
         group: str | None = None,
     ) -> None:
-        super().__init__(name or f"{stage.name}-stage")
-        self.stage = stage
+        super().__init__(stage, name or f"{stage.name}-stage")
         self.replica = replica
         #: Fan-out group label (the fanned stage's name) — schedulers use it
         #: to keep sibling replicas on distinct hosts; None outside fan-out.
         self.fanout_group = group
         self._decoder = ScopeDecoder(stream=getattr(stage, "consumes_fragments", False))
-        self._started = False
         #: Opener of the scope being consumed (None between scopes), whether
-        #: that scope is pumped, and how many patterns were appended to it.
+        #: that scope is pumped, how many patterns were appended to it and
+        #: whether the stage consumed its audio (forwarded no data fragment).
         self._opener: Record | None = None
         self._pumping = False
         self._appended = 0
+        self._consumed = False
 
-    def _encode(self, events: list[PipelineEvent], depth: int, index: int) -> list[Record]:
-        records: list[Record] = []
-        for event in events:
-            # Only whole ensembles become scopes; markers and partial
-            # per-pattern events mean something only while pumping.
-            if isinstance(event, ENSEMBLE_EVENTS) and event.ensemble is not None:
-                records.extend(event_to_records(event, depth, index))
-        return records
-
-    def _start_stage(self, rate: int) -> None:
-        self._decoder.default_rate = rate
-        self.stage.start(rate)
-        self._started = True
+    def _encode(self, events: list[PipelineEvent]) -> list[Record]:
+        return _ensemble_records(events, self._depth, 0)
 
     def process(self, record: Record) -> list[Record]:
         if self._opener is None:
-            if record.is_open and record.scope_type == ScopeType.CLIP.value:
-                self.stage.reset()
-                rate = record.context.get("sample_rate")
-                if rate is not None:
-                    self._start_stage(int(rate))
-                return [record]
+            outputs = self._boundary(record)
+            if outputs is not None:
+                return outputs
             if not (record.is_open and record.scope_type == _ENSEMBLE) or (
                 self.replica is not None
                 and record.context.get(ROUTING_REPLICA) != self.replica
@@ -455,22 +503,21 @@ class EnsembleStageOperator(Operator):
                 return [record]
             self._opener = record
             self._appended = 0
+            self._consumed = False
         opener = self._opener
         events = self._decoder.feed(record)
         if record is opener:
             self._pumping = self._decoder.streaming
+            if self._clip is None:
+                self._begin(self._decoder.rate)
         elif record.is_close and record.scope_type == _ENSEMBLE:
             self._opener = None
-        if events and not self._started:
-            # Bare uplink streams carry no clip OpenScope to start the stage
-            # from; the ensemble's own rate serves.
-            self._start_stage(self._decoder.rate)
         if self._pumping:
             return self._pump(record, events, opener.scope)
         outputs: list[Record] = []
         for event in events:  # the scope's one terminal event, at its clean close
             made = self.stage.process(event)
-            outputs.extend(self._encode(made, opener.scope, opener.sequence))
+            outputs.extend(_ensemble_records(made, opener.scope, opener.sequence))
         return self._preserve_routing(opener, outputs) if outputs else outputs
 
     def _pump(self, record: Record, events: list[PipelineEvent], depth: int) -> list[Record]:
@@ -484,12 +531,13 @@ class EnsembleStageOperator(Operator):
             if not isinstance(event, EnsembleFragmentEvent):
                 continue
             if event.kind == "data":
+                self._consumed = self._consumed or all(out is not event for out in made)
                 for partial in made:
                     if isinstance(partial, FeaturesEvent) and partial.partial:
                         appended = event_to_records(partial, depth, self._appended)
                         self._appended += len(appended)
                         outputs.extend(appended)
-            elif event.kind == "close" and not self._appended:
+            elif event.kind == "close" and self._consumed and not self._appended:
                 # Too short for a single pattern: stamp the close (see the
                 # module docstring) so the short count survives downstream.
                 record.context = {**record.context, "n_patterns": 0}
@@ -510,19 +558,10 @@ class EnsembleStageOperator(Operator):
                     record.context = {**record.context, **routing}
         return encoded
 
-    def _drop_scope(self) -> None:
-        self._opener = None
-        self._decoder.reset()
-
-    def flush(self) -> list[Record]:
-        self._drop_scope()
-        return self._encode(self.stage.flush(), depth=0, index=0)
-
     def reset(self) -> None:
         super().reset()
-        self.stage.reset()
-        self._drop_scope()
-        self._started = False
+        self._opener = None
+        self._decoder.reset()
 
 
 class EnsemblePartitionOperator(Operator):
@@ -750,8 +789,9 @@ def compile_to_river(
     per-ensemble stage; a mapping sets the count per stage name).  The
     extract stage consumes the raw chunk stream sequentially and cannot be
     fanned out.  ``partition`` selects the routing policy (``"station"`` or
-    ``"roundrobin"``).  Fan-out never changes the output: the merge restores
-    corpus order, so the record stream is bit-identical to ``fan_out=1``.
+    ``"roundrobin"``).  Fan-out never changes the output of stages that keep
+    no state across ensembles: the merge restores corpus order, so the
+    record stream is bit-identical to ``fan_out=1``.
 
     The graph compiles in declaration order.  A declared ``store`` stage
     becomes a :class:`~repro.store.StoreSinkOperator` wrapping that stage at

@@ -151,6 +151,29 @@ def pack_record(record: Record) -> bytes:
     return b"".join(pack_record_views(record))
 
 
+def _payload_layout(header: dict) -> tuple[np.dtype, tuple[int, ...]]:
+    """The payload dtype and shape a header announces, refused unless they
+    describe plain array bytes — they size the read that follows."""
+    try:
+        dtype = np.dtype(header["dtype"])
+    except (TypeError, ValueError) as exc:
+        raise SerializationError(f"corrupt record header: dtype {header['dtype']!r}: {exc}") from exc
+    if dtype.hasobject:
+        raise SerializationError(
+            f"corrupt record header: dtype {header['dtype']!r} holds Python objects"
+        )
+    shape = header.get("shape")
+    if type(shape) is list:
+        for n in shape:  # a plain loop: this runs once per payload record
+            if type(n) is not int or n < 0:
+                break
+        else:
+            return dtype, tuple(shape)
+    raise SerializationError(
+        f"corrupt record header: shape {shape!r} is not a list of non-negative ints"
+    )
+
+
 def unpack_record(blob, offset: int = 0) -> tuple[Record, int]:
     """Deserialise one record from ``blob`` at ``offset``.
 
@@ -184,8 +207,7 @@ def unpack_record(blob, offset: int = 0) -> tuple[Record, int]:
         payload = None
         consumed = header_end - offset
         if "dtype" in header:
-            dtype = np.dtype(header["dtype"])
-            shape = tuple(header["shape"])
+            dtype, shape = _payload_layout(header)
             # math.prod beats np.prod by ~40x on the tiny tuples seen here,
             # which is material for small control frames.
             count = math.prod(shape)

@@ -17,10 +17,10 @@ relays a stream's ``n_patterns`` stamp — says so for its ensemble, and
 :class:`~repro.pipeline.builder.BuiltPipeline` stamps
 :attr:`expect_features` for the whole graph when it assembles it.
 
-The river's :class:`~repro.store.StoreSinkOperator` runs the declared stage
-where the graph declares it, so every fabric stores what the position sees;
-:meth:`StoreWriterStage.begin` is the one naming and station rule both
-callers (it and :class:`~repro.pipeline.builder.BuiltPipeline`) go through.
+Every fabric runs the stage through ``begin_run`` / ``end_run`` (per
+``run()``, per river clip scope), so :meth:`begin` is the one naming and
+station rule.  It detects truncation itself: a fragment opening mid-ensemble,
+or a reset mid-run, leaves that ensemble or recording incomplete.
 """
 
 from __future__ import annotations
@@ -110,6 +110,8 @@ class StoreWriterStage(Stage):
         )
 
     def reset(self) -> None:
+        if self._current is not None:  # an abandoned run: flushed incomplete
+            self.writer.flush()
         self._current = None
         self._session = None
         self._ordinal = 0
@@ -123,6 +125,7 @@ class StoreWriterStage(Stage):
         if self._current is not None:
             self.writer.end_recording(self._current, total_samples=self._seen)
             self.writer.flush()
+            self._current = None
         return []
 
     # -- event observation -----------------------------------------------------
@@ -147,6 +150,8 @@ class StoreWriterStage(Stage):
         if recording is None:
             return
         if event.kind == "open":
+            if self._session is not None:  # truncated: left unsealed, ordinal skipped
+                self._ordinal += 1
             self.writer.open_ensemble(
                 recording, self._ordinal, event.start, sample_rate=event.sample_rate
             )
@@ -189,17 +194,6 @@ class StoreWriterStage(Stage):
         )
         self._session = None
         self._ordinal += 1
-
-    def abandon_ensemble(self) -> None:
-        """Give up on the open ensemble: its stream was truncated.
-
-        The row is never sealed, so what already reached flushed shards
-        stays orphaned — readers report it incomplete instead of reading a
-        shorter-but-valid ensemble — and the ordinal is not used again.
-        """
-        if self._session is not None:
-            self._session = None
-            self._ordinal += 1
 
     def _observe_partial(self, event: FeaturesEvent) -> None:
         session = self._session
