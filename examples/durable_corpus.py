@@ -56,9 +56,9 @@ def main() -> None:
     #    this — it exists here only to prove bit-identity at the end).
     reference = pipe.build().run_corpus(paths, store=workdir / "reference.store")
 
-    # 2. A ledgered run that dies after two items.  The ledger is a plain
-    #    JSON file, atomically rewritten on every state transition: one row
-    #    per corpus item, open -> busy -> done/failed -> quarantined.
+    # 2. A ledgered run that dies after two items.  The ledger is a JSON-lines
+    #    journal, one line appended per state transition: one row per corpus
+    #    item, open -> busy -> done/failed -> quarantined.
     ledger_path = workdir / "survey.ledger"
     ledger = Ledger.open_or_create(ledger_path, sources=paths)
     completions = 0

@@ -7,7 +7,7 @@ over :mod:`repro.pipeline`:
 
 * :class:`Ledger` — a file-backed record of every corpus item's state
   (``open`` / ``busy`` / ``done`` / ``failed`` / ``quarantined``),
-  atomically rewritten on each transition, with leases, exponential
+  journaled on each transition, with leases, exponential
   retry backoff and poison-item quarantine;
 * :func:`run_corpus` — the ledgered runner behind
   ``BuiltPipeline.run_corpus(ledger=...)``: claims rows, marks ``done``

@@ -1,6 +1,6 @@
-"""The durable corpus ledger: one row per corpus item, atomically persisted.
+"""The durable corpus ledger: one row per corpus item, journaled to disk.
 
-A :class:`Ledger` is a single JSON file recording, for every item of a
+A :class:`Ledger` is a single file recording, for every item of a
 corpus run, its lifecycle state plus the bookkeeping needed to resume,
 retry and coordinate many workers:
 
@@ -29,13 +29,19 @@ outcome (``mark_done``, ``mark_failed``, ``heartbeat``).  A spent attempt
 ``max_attempts``, else retry, and ``error`` records that attempt's own
 reason, so it always names why the last charged attempt ended.
 
-Every mutation rewrites the whole file atomically (temp file +
-``os.replace``), the same durability idiom as the feature-store manifest:
-a killed process leaves either the previous ledger or the next one on
-disk, never a torn file.  Rewriting whole is deliberate — a ledger row is
-~150 bytes, so even a million-recording corpus is a ~150 MB file and the
-common corpus sizes rewrite in well under a millisecond; correctness of
-resume beats incremental-append cleverness here.
+The file is a journal (schema version 2).  Line 1 is a compact JSON
+header — the retry policy and every row as of the last compaction — and
+each later line is one row's full state after a transition.  A mutation
+appends the rows it changed in one ``os.write`` and ``fsync``s before
+returning, so the file is never behind what a caller was told.  Replay is
+idempotent; a torn last line (a killed write) is ignored, and a corrupt
+earlier one is a :class:`LedgerError` naming it.  :meth:`Ledger.save`
+compacts — the header alone, temp file + ``fsync`` + ``os.replace`` — at
+creation and whenever the journal outgrows the header, so the file stays
+within ~2× its compacted size and the bytes written are linear in
+transitions.  Version 1 rewrote the whole file on every transition (3.7 ms
+per save at 80 rows, quadratic in corpus size); a version-1 file still
+opens and becomes version 2 at its first compaction.
 
 The ledger knows nothing about pipelines or stores.  It is driven either
 by the in-process runner (:func:`repro.jobs.run_corpus`) or by the HTTP
@@ -48,7 +54,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 __all__ = [
@@ -63,7 +69,7 @@ __all__ = [
     "QUARANTINED",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 OPEN = "open"
 BUSY = "busy"
@@ -99,6 +105,33 @@ class LedgerRow:
         return self.state in (DONE, QUARANTINED)
 
 
+_ROW_KEYS = {f.name for f in fields(LedgerRow)}
+
+
+def _load_row(raw, where: str) -> LedgerRow:
+    """A row as the file stores it: exactly :class:`LedgerRow`'s keys, an
+    integer ``index`` and a known ``state``, else a :class:`LedgerError`."""
+    if not isinstance(raw, dict) or raw.keys() != _ROW_KEYS:
+        got = sorted(raw) if isinstance(raw, dict) else type(raw).__name__
+        raise LedgerError(f"{where} must hold exactly the keys {sorted(_ROW_KEYS)}, got {got}")
+    if type(raw["index"]) is not int:
+        raise LedgerError(f"{where} has a non-integer index {raw['index']!r}")
+    if raw["state"] not in STATES:
+        raise LedgerError(f"{where} (item {raw['index']}) has unknown state {raw['state']!r}")
+    return LedgerRow(**raw)
+
+
+def _write(path, data: bytes, flags: int) -> None:
+    """Write ``data`` to ``path`` in one ``os.write``, then ``fsync``."""
+    fd = os.open(path, flags, 0o644)
+    try:
+        if os.write(fd, data) != len(data):
+            raise LedgerError(f"short write to ledger {path}")
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 @dataclass
 class LedgerConfig:
     """Retry policy, persisted in the ledger file so every process — the
@@ -124,7 +157,7 @@ class LedgerConfig:
 
 
 class Ledger:
-    """A file-backed, atomically-rewritten corpus job ledger."""
+    """A file-backed, journaled corpus job ledger."""
 
     def __init__(self, path, rows: list[LedgerRow], config: LedgerConfig) -> None:
         self.path = Path(path)
@@ -133,6 +166,10 @@ class Ledger:
         self._by_index = {row.index: row for row in rows}
         if len(self._by_index) != len(rows):
             raise LedgerError(f"ledger {self.path} contains duplicate item indices")
+        #: Rows changed since the last write; header and journal bytes on disk
+        #: (journal None: a version-1 or torn file, so the next write compacts).
+        self._dirty: dict[int, LedgerRow] = {}
+        self._header_bytes, self._journal_bytes = 0, None
 
     # -- construction ----------------------------------------------------------
 
@@ -170,29 +207,41 @@ class Ledger:
 
     @classmethod
     def open(cls, path) -> "Ledger":
-        """Load an existing ledger from disk."""
+        """Load an existing ledger: its header with the journal replayed."""
         path = Path(path)
         try:
-            data = json.loads(path.read_text())
+            data = path.read_bytes()
         except FileNotFoundError:
             raise LedgerError(f"no ledger at {path}") from None
-        except json.JSONDecodeError as exc:
-            raise LedgerError(f"ledger at {path} is not valid JSON: {exc}") from exc
-        version = data.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise LedgerError(
-                f"ledger at {path} has schema version {version!r}; this reader "
-                f"speaks version {SCHEMA_VERSION}"
-            )
-        rows = []
-        for raw in data.get("items", []):
-            if raw.get("state") not in STATES:
-                raise LedgerError(
-                    f"ledger at {path} row {raw.get('index')} has unknown state "
-                    f"{raw.get('state')!r}"
-                )
-            rows.append(LedgerRow(**raw))
-        return cls(path, rows, LedgerConfig.from_dict(data.get("config", {})))
+        head, _, journal = data.partition(b"\n")
+        try:
+            header = json.loads(head)
+            appendable = data.endswith(b"\n")  # a killed write leaves an unterminated tail
+        except ValueError:
+            try:  # version 1: the whole file is one indented document
+                journal, header, appendable = b"", json.loads(data), False
+            except ValueError as exc:
+                raise LedgerError(f"ledger at {path} is not valid JSON: {exc}") from exc
+        version = header.get("schema_version") if isinstance(header, dict) else None
+        if version not in (1, SCHEMA_VERSION):
+            raise LedgerError(f"ledger at {path} has schema version {version!r}; this "
+                              f"reader speaks versions 1 and {SCHEMA_VERSION}")
+        rows = [
+            _load_row(raw, f"ledger at {path} header row {n}")
+            for n, raw in enumerate(header.get("items", []))
+        ]
+        ledger = cls(path, rows, LedgerConfig.from_dict(header.get("config", {})))
+        *lines, _ = journal.split(b"\n")  # the torn tail, if any, is ignored
+        for number, line in enumerate(lines, start=2):
+            try:
+                raw = json.loads(line)
+            except ValueError as exc:
+                raise LedgerError(f"ledger at {path} line {number} is corrupt: {exc}") from exc
+            row = _load_row(raw, f"ledger at {path} line {number}")
+            vars(ledger.row(row.index)).update(vars(row))
+        if appendable and version == SCHEMA_VERSION:
+            ledger._header_bytes, ledger._journal_bytes = len(head) + 1, len(journal)
+        return ledger
 
     @classmethod
     def open_or_create(
@@ -237,15 +286,33 @@ class Ledger:
     # -- persistence -----------------------------------------------------------
 
     def save(self) -> None:
-        """Atomically rewrite the ledger file (temp file + ``os.replace``)."""
-        payload = {
+        """Compact: atomically rewrite the file as its header alone."""
+        header = {
             "schema_version": SCHEMA_VERSION,
-            "config": asdict(self.config),
-            "items": [asdict(row) for row in self.rows],
+            "config": vars(self.config),
+            "items": [vars(row) for row in self.rows],
         }
+        data = json.dumps(header).encode() + b"\n"
         tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=1))
+        _write(tmp, data, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
         os.replace(tmp, self.path)
+        self._dirty.clear()
+        self._header_bytes, self._journal_bytes = len(data), 0
+
+    def _append(self) -> None:
+        """Journal the rows changed since the last write, one line each."""
+        rows, self._dirty = self._dirty.values(), {}
+        if not rows:
+            return
+        if self._journal_bytes is None:
+            return self.save()
+        data = b"".join(json.dumps(vars(row)).encode() + b"\n" for row in rows)
+        # A failed write may leave a torn tail, which only a compaction may follow.
+        journal, self._journal_bytes = self._journal_bytes, None
+        _write(self.path, data, os.O_WRONLY | os.O_APPEND)
+        self._journal_bytes = journal + len(data)
+        if self._journal_bytes > self._header_bytes:
+            self.save()
 
     # -- queries ---------------------------------------------------------------
 
@@ -279,9 +346,9 @@ class Ledger:
 
     # -- mutations -------------------------------------------------------------
     #
-    # Every row change is one _transition; every mutation saves once before
-    # returning, so the on-disk file is never behind what a caller has been
-    # told.
+    # Every row change is one _transition; every mutation journals the rows
+    # it changed once before returning, so the on-disk file is never behind
+    # what a caller has been told.
 
     def claim(
         self, worker: str, now: float | None = None, lease: float | None = None
@@ -302,10 +369,10 @@ class Ledger:
         now: float | None = None,
         lease: float | None = None,
     ) -> list[LedgerRow]:
-        """Claim up to ``limit`` claimable rows in one atomic rewrite."""
+        """Claim up to ``limit`` claimable rows in one journal write."""
         now = time.time() if now is None else now
         lease = self.config.lease if lease is None else float(lease)
-        lapsed = self._lapse(now)
+        self._lapse(now)
         claimed: list[LedgerRow] = []
         for row in self.rows:
             if limit is not None and len(claimed) >= limit:
@@ -313,8 +380,7 @@ class Ledger:
             if row.state == OPEN or (row.state == FAILED and row.not_before <= now):
                 self._transition(row, BUSY, now, worker=str(worker), lease_expires=now + lease)
                 claimed.append(row)
-        if claimed or lapsed:
-            self.save()
+        self._append()
         return claimed
 
     def heartbeat(
@@ -325,7 +391,7 @@ class Ledger:
         lease = self.config.lease if lease is None else float(lease)
         row = self._held(index, str(worker), "renew the lease of")
         self._transition(row, BUSY, now, worker=row.worker, lease_expires=now + lease)
-        self.save()
+        self._append()
 
     def mark_done(self, index: int, worker: str | None = None, now: float | None = None) -> None:
         """Terminal success: the item's result was collected *and persisted*.
@@ -350,7 +416,7 @@ class Ledger:
             return
         row = self._held(index, worker, "complete")
         self._transition(row, DONE, now, worker=row.worker, error="")
-        self.save()
+        self._append()
 
     def mark_failed(
         self,
@@ -371,7 +437,7 @@ class Ledger:
         now = time.time() if now is None else now
         row = self._held(index, worker, "fail")
         self._charge(row, str(error), now, backoff=True)
-        self.save()
+        self._append()
         return row
 
     def recover_busy(self, now: float | None = None) -> list[LedgerRow]:
@@ -386,8 +452,7 @@ class Ledger:
         """
         now = time.time() if now is None else now
         recovered = self._lapse(now, every=True)
-        if recovered:
-            self.save()
+        self._append()
         return recovered
 
     def adopt_done(self, index: int, now: float | None = None) -> None:
@@ -407,7 +472,7 @@ class Ledger:
                 "reopen it explicitly first"
             )
         self._transition(row, DONE, now, error="")
-        self.save()
+        self._append()
 
     def quarantine(self, index: int, error: str, now: float | None = None) -> None:
         """Force a row into quarantine regardless of its attempt count (e.g.
@@ -418,7 +483,7 @@ class Ledger:
         if row.state == DONE:
             raise LedgerError(f"cannot quarantine item {index}: it is done")
         self._transition(row, QUARANTINED, now, error=str(error))
-        self.save()
+        self._append()
 
     def reopen(self, index: int, now: float | None = None) -> None:
         """Force a terminal or failed row back to ``open`` (operator action:
@@ -426,12 +491,12 @@ class Ledger:
         row whose persisted output was lost)."""
         now = time.time() if now is None else now
         self._transition(self.row(index), OPEN, now)
-        self.save()
+        self._append()
 
     # -- the rules every mutation goes through ---------------------------------
 
-    @staticmethod
     def _transition(
+        self,
         row: LedgerRow,
         state: str,
         now: float,
@@ -448,6 +513,7 @@ class Ledger:
         row.worker, row.lease_expires, row.not_before = worker, lease_expires, not_before
         if error is not None:
             row.error = error
+        self._dirty[row.index] = row
 
     def _held(self, index: int, worker: str | None, action: str) -> LedgerRow:
         """The one holder rule: only a ``busy`` row, held by ``worker`` when

@@ -17,6 +17,9 @@ rows + 1``.
 
 from __future__ import annotations
 
+import hashlib
+import io
+
 import numpy as np
 
 from .schema import RAGGED_COLUMNS, SCALAR_COLUMNS
@@ -33,6 +36,7 @@ __all__ = [
     "resolve_backend",
     "rows_to_columns",
     "columns_to_rows",
+    "write_shard",
 ]
 
 
@@ -118,7 +122,9 @@ class Backend:
     name = "backend"
     extension = ""
 
-    def write_table(self, path, kind: str, columns: dict) -> None:
+    def write_table(self, handle, kind: str, columns: dict) -> None:
+        """Serialise ``columns`` into ``handle``, a write-only binary file
+        that cannot seek (:func:`write_shard` hashes what passes through)."""
         raise NotImplementedError
 
     def read_table(self, path, kind: str) -> dict:
@@ -131,15 +137,14 @@ class NpzBackend(Backend):
     name = "npz"
     extension = ".npz"
 
-    def write_table(self, path, kind: str, columns: dict) -> None:
+    def write_table(self, handle, kind: str, columns: dict) -> None:
         arrays = {}
         for name, value in columns.items():
             if isinstance(value, tuple):
                 arrays[f"{name}__values"], arrays[f"{name}__offsets"] = value
             else:
                 arrays[name] = value
-        with open(path, "wb") as handle:
-            np.savez(handle, **arrays)
+        np.savez(handle, **arrays)
 
     def read_table(self, path, kind: str) -> dict:
         columns: dict = {}
@@ -158,7 +163,7 @@ class ParquetBackend(Backend):
     name = "parquet"
     extension = ".parquet"
 
-    def write_table(self, path, kind: str, columns: dict) -> None:
+    def write_table(self, handle, kind: str, columns: dict) -> None:
         pa, pq = _pyarrow()
         fields = {}
         for name, value in columns.items():
@@ -172,7 +177,7 @@ class ParquetBackend(Backend):
                 fields[name] = pa.array(value, type=pa.int64())
             else:
                 fields[name] = pa.array([str(v) for v in value.tolist()], type=pa.string())
-        pq.write_table(pa.table(fields), path)
+        pq.write_table(pa.table(fields), handle)
 
     def read_table(self, path, kind: str) -> dict:
         pa, pq = _pyarrow()
@@ -190,6 +195,35 @@ class ParquetBackend(Backend):
             offsets = np.asarray(array.offsets.to_numpy(zero_copy_only=False), dtype=np.int64)
             columns[name] = (values, offsets)
         return columns
+
+
+class _HashingWriter(io.RawIOBase):
+    """A write-only, unseekable file that hashes every byte it passes on.
+
+    Unseekable on purpose: a zip writer (``np.savez``) that can seek goes
+    back to patch each member's header after its data, which would change
+    bytes already hashed; an unseekable one streams them in order.
+    """
+
+    def __init__(self, handle) -> None:
+        self.handle = handle
+        self.sha256 = hashlib.sha256()
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        self.sha256.update(data)
+        return self.handle.write(data)
+
+
+def write_shard(backend: Backend, path, kind: str, columns: dict) -> str:
+    """Write one table to the file ``path`` and return its sha256, taken
+    over the bytes as they are written: the file is never read back."""
+    with open(path, "wb") as handle:
+        hashing = _HashingWriter(handle)
+        backend.write_table(hashing, kind, columns)
+    return hashing.sha256.hexdigest()
 
 
 BACKENDS = {NpzBackend.name: NpzBackend, ParquetBackend.name: ParquetBackend}

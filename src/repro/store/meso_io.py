@@ -29,6 +29,7 @@ from .backends import (
     columns_to_rows,
     resolve_backend,
     rows_to_columns,
+    write_shard,
 )
 from .schema import MESO_MEMBERS, MESO_SPHERES, SCHEMA_VERSION
 
@@ -70,13 +71,8 @@ def save_meso(classifier, path, backend: str = "auto") -> Path:
     files = {}
     for kind, rows in ((MESO_SPHERES, sphere_rows), (MESO_MEMBERS, member_rows)):
         name = f"{kind}{resolved.extension}"
-        file_path = target / name
-        resolved.write_table(file_path, kind, rows_to_columns(kind, rows))
-        files[name] = {
-            "kind": kind,
-            "rows": len(rows),
-            "sha256": hashlib.sha256(file_path.read_bytes()).hexdigest(),
-        }
+        digest = write_shard(resolved, target / name, kind, rows_to_columns(kind, rows))
+        files[name] = {"kind": kind, "rows": len(rows), "sha256": digest}
     meta = {
         "schema_version": SCHEMA_VERSION,
         "backend": resolved.name,

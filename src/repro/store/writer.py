@@ -21,7 +21,6 @@ interrupted write can never masquerade as a shorter-but-valid ensemble.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import os
@@ -29,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backends import Backend, StoreError, resolve_backend, rows_to_columns
+from .backends import Backend, StoreError, resolve_backend, rows_to_columns, write_shard
 from .schema import AUDIO, ENSEMBLES, MANIFEST_NAME, PATTERNS, SCHEMA_VERSION, SHARD_DIR, TABLE_KINDS
 from .schema import recording_name
 
@@ -115,9 +114,9 @@ class StoreWriter:
                 continue
             name = f"{self._seq:06d}-{kind}{self.backend.extension}"
             self._seq += 1
-            shard_path = self.path / SHARD_DIR / name
-            self.backend.write_table(shard_path, kind, rows_to_columns(kind, rows))
-            digest = hashlib.sha256(shard_path.read_bytes()).hexdigest()
+            digest = write_shard(
+                self.backend, self.path / SHARD_DIR / name, kind, rows_to_columns(kind, rows)
+            )
             self._manifest["shards"].append(
                 {"name": name, "kind": kind, "rows": len(rows), "sha256": digest}
             )
@@ -128,7 +127,7 @@ class StoreWriter:
     def _write_manifest(self) -> None:
         manifest_path = self.path / MANIFEST_NAME
         tmp_path = self.path / (MANIFEST_NAME + ".tmp")
-        tmp_path.write_text(json.dumps(self._manifest, indent=2, sort_keys=True))
+        tmp_path.write_text(json.dumps(self._manifest, sort_keys=True))
         os.replace(tmp_path, manifest_path)
 
     def _require_open(self) -> None:

@@ -21,6 +21,7 @@ The headline guarantees under test:
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -50,7 +51,9 @@ from repro.jobs import (
     WorkerError,
     run_corpus,
 )
+from repro.jobs import ledger as ledger_module
 from repro.jobs.__main__ import main as jobs_cli
+from repro.jobs.executor import _reconcile_with_store
 from repro.pipeline import AcousticPipeline, CorpusExecutionError, PipelineBuildError
 from repro.pipeline.executor import describe_source
 from repro.store import StoreReader, StoreWriter
@@ -807,3 +810,263 @@ class TestOneItemLifecycle:
         row = Ledger.open(ledger.path).row(0)
         assert row.state == QUARANTINED
         assert "lease lapsed" in row.error and "boom" not in row.error
+
+
+# -- the journal file ----------------------------------------------------------
+
+
+def _ledger_lines(path) -> list[bytes]:
+    """The ledger file's lines, each with its newline (a torn tail without)."""
+    return Path(path).read_bytes().splitlines(keepends=True)
+
+
+def _row_dict(index: int, **changes) -> dict:
+    row = {
+        "index": index, "source": f"s{index}", "recording": f"rec-{index}",
+        "state": OPEN, "attempts": 0, "worker": "", "updated": 0.0,
+        "lease_expires": 0.0, "not_before": 0.0, "error": "",
+    }
+    row.update(changes)
+    return row
+
+
+def _write_v2(path, rows: list[dict], journal: list[dict] = ()) -> None:
+    header = {"schema_version": 2, "config": {}, "items": rows}
+    lines = [json.dumps(header)] + [json.dumps(line) for line in journal]
+    Path(path).write_text("".join(line + "\n" for line in lines))
+
+
+class TestLedgerJournal:
+    """The append-only file: torn tails, corrupt or hostile lines, a kill
+    between a journal write and the next store flush, and version-1 files."""
+
+    def _drive(self, path) -> list[dict]:
+        """Three transitions on an 8-row ledger; the rows before the last."""
+        ledger = Ledger.create(path, [f"s{i}" for i in range(8)], config=FAST_RETRY)
+        ledger.claim("w", now=1.0)
+        ledger.mark_done(0, worker="w", now=2.0)
+        before_last = [dict(vars(row)) for row in ledger.rows]
+        ledger.claim("w", now=3.0)
+        return before_last
+
+    def test_torn_last_line_opens_at_last_complete_transition(self, tmp_path):
+        path = tmp_path / "l.json"
+        before_last = self._drive(path)
+        lines = _ledger_lines(path)
+        assert len(lines) == 4  # header + claim, done, claim
+        torn = b"".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2]
+        path.write_bytes(torn)
+        reopened = Ledger.open(path)
+        assert [vars(row) for row in reopened.rows] == before_last
+        # Opening is read-only; the next write compacts past the torn tail.
+        assert path.read_bytes() == torn
+        reopened.claim("w2", now=4.0)
+        assert len(_ledger_lines(path)) == 1
+        final = Ledger.open(path)
+        assert [(r.state, r.worker) for r in final.rows[:2]] == [(DONE, "w"), (BUSY, "w2")]
+
+    def test_corrupt_middle_line_names_its_line(self, tmp_path):
+        path = tmp_path / "l.json"
+        self._drive(path)
+        lines = _ledger_lines(path)
+        lines[2] = b'{"index": 0, "state": "do\n'
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(LedgerError, match=rf"{path.name} line 3 is corrupt"):
+            Ledger.open(path)
+
+    @pytest.mark.parametrize(
+        "where, row, message",
+        [
+            ("header", _row_dict(1, colour="red"), "header row 1 must hold exactly the keys"),
+            ("header", {k: v for k, v in _row_dict(1).items() if k != "state"},
+             "header row 1 must hold exactly the keys"),
+            ("header", _row_dict("1"), "header row 1 has a non-integer index '1'"),
+            ("header", _row_dict(1, state="lost"), "header row 1 .item 1. has unknown state"),
+            ("journal", _row_dict(1, colour="red"), "line 2 must hold exactly the keys"),
+            ("journal", {k: v for k, v in _row_dict(1).items() if k != "attempts"},
+             "line 2 must hold exactly the keys"),
+            ("journal", _row_dict(1.0), "line 2 has a non-integer index 1.0"),
+            ("journal", _row_dict(True), "line 2 has a non-integer index True"),
+            ("journal", [1, 2], "line 2 must hold exactly the keys"),
+            ("journal", _row_dict(7), "has no item 7"),
+        ],
+    )
+    def test_hostile_rows_are_ledger_errors(self, tmp_path, where, row, message):
+        path = tmp_path / "l.json"
+        if where == "header":
+            _write_v2(path, [_row_dict(0), row])
+        else:
+            _write_v2(path, [_row_dict(0), _row_dict(1)], journal=[row])
+        with pytest.raises(LedgerError, match=message) as err:
+            Ledger.open(path)
+        assert str(path) in str(err.value)
+
+    def test_schema_1_file_opens_resumes_and_compacts_to_2(
+        self, feature_builder, corpus_clips, reference, tmp_path, counting_os
+    ):
+        ref_results, ref_reader = reference
+        path = tmp_path / "v1.json"
+        sources = clip_sources(corpus_clips)
+        rows = [_row_dict(i, source=src, recording=f"rec-{i:05d}") for i, src in enumerate(sources)]
+        rows[1].update(state=FAILED, attempts=1, error="ValueError: once")
+        v1 = {"schema_version": 1, "config": vars(FAST_RETRY), "items": rows}
+        path.write_text(json.dumps(v1, indent=1))
+        opened = Ledger.open(path)
+        assert opened.config == FAST_RETRY
+        assert [(r.state, r.attempts) for r in opened.rows] == [(OPEN, 0), (FAILED, 1), (OPEN, 0)]
+        assert json.loads(path.read_text()) == v1  # opening rewrites nothing
+        # The first write compacts a version-1 file rather than appending to it.
+        copy = tmp_path / "copy.json"
+        copy.write_bytes(path.read_bytes())
+        Ledger.open(copy).reopen(1)
+        assert (counting_os.appended, len(counting_os.headers)) == (0, 1)
+        (line,) = _ledger_lines(copy)
+        assert json.loads(line)["schema_version"] == 2
+        results = run_corpus(feature_builder, corpus_clips, path, store=tmp_path / "v1.store")
+        assert_results_equal(ref_results, results)
+        assert_store_contents_equal(ref_reader, tmp_path / "v1.store")
+        assert json.loads(_ledger_lines(path)[0])["schema_version"] == 2
+        final = Ledger.open(path)
+        assert final.all_settled() and final.row(1).attempts == 1
+
+    def test_kill_after_journal_write_resumes_bit_identical(
+        self, feature_builder, corpus_clips, tmp_path
+    ):
+        """A run killed via os._exit right after the journal write that
+        claims item 2, before that item's store flush, resumes to results
+        and store contents identical to an uninterrupted run."""
+        paths = []
+        for i, clip in enumerate(corpus_clips):
+            paths.append(str(tmp_path / f"clip-{i}.wav"))
+            write_wav(paths[-1], clip.samples, clip.sample_rate)
+        script = f"""
+import sys
+sys.path.insert(0, {str(Path.cwd() / 'src')!r})
+import os
+from repro.config import FAST_EXTRACTION
+from repro.jobs import Ledger, run_corpus
+from repro.pipeline import AcousticPipeline
+
+pipe = AcousticPipeline().extract(FAST_EXTRACTION, keep_traces=False).features(use_paa=True)
+ledger = Ledger.open({str(tmp_path / 'kill.json')!r})
+original = ledger.claim_batch
+def die_after_claiming_item_2(*args, **kwargs):
+    rows = original(*args, **kwargs)
+    if any(row.index == 2 for row in rows):
+        os._exit(137)  # the claim is journaled; item 2 is never flushed
+    return rows
+ledger.claim_batch = die_after_claiming_item_2
+run_corpus(pipe, {paths!r}, ledger, store={str(tmp_path / 'kill.store')!r})
+"""
+        ref_results = feature_builder.build().run_corpus(paths, store=tmp_path / "ref.store")
+        Ledger.create(tmp_path / "kill.json", paths, config=FAST_RETRY)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=240
+        )
+        assert proc.returncode == 137, proc.stderr
+        assert len(_ledger_lines(tmp_path / "kill.json")) > 1  # journaled, not compacted
+        crashed = Ledger.open(tmp_path / "kill.json")
+        assert [r.state for r in crashed.rows] == [DONE, DONE, BUSY]
+        assert StoreReader(tmp_path / "kill.store").recordings() == ["rec-00000", "rec-00001"]
+
+        results = run_corpus(
+            feature_builder, paths, tmp_path / "kill.json", store=tmp_path / "kill.store"
+        )
+        final = Ledger.open(tmp_path / "kill.json")
+        assert final.all_settled() and final.row(2).attempts == 1
+        assert_results_equal(ref_results, results)
+        assert_store_contents_equal(StoreReader(tmp_path / "ref.store"), tmp_path / "kill.store")
+
+
+class CountingOS:
+    """The ``os`` module as the ledger sees it, counting what it writes:
+    bytes and lines appended, bytes written by compactions and the size of
+    each compacted file."""
+
+    def __init__(self) -> None:
+        self.appended = self.lines = self.compacted = 0
+        self.headers: list[int] = []
+        self.compacting = False
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def write(self, fd, data) -> int:
+        if self.compacting:
+            self.compacted += len(data)
+        else:
+            self.appended += len(data)
+            self.lines += bytes(data).count(b"\n")
+        return os.write(fd, data)
+
+
+@pytest.fixture()
+def counting_os(monkeypatch) -> CountingOS:
+    counting = CountingOS()
+    save = Ledger.save
+
+    def counted_save(ledger):
+        counting.compacting = True
+        try:
+            save(ledger)
+        finally:
+            counting.compacting = False
+        counting.headers.append(ledger.path.stat().st_size)
+
+    monkeypatch.setattr(ledger_module, "os", counting)
+    monkeypatch.setattr(Ledger, "save", counted_save)
+    return counting
+
+
+class TestLedgerGrowth:
+    """Bytes written are linear in transitions: counts, not timings."""
+
+    def test_bytes_written_linear_in_transitions(self, tmp_path, counting_os):
+        n = 40
+        ledger = Ledger.create(tmp_path / "l.json", [f"s{i}" for i in range(n)], config=FAST_RETRY)
+        for index in range(n):
+            assert ledger.claim("w", now=1000.0).index == index
+            ledger.mark_failed(index, "boom", worker="w", now=1000.0)
+            assert ledger.claim("w", now=1000.0).index == index
+            ledger.mark_done(index, worker="w", now=1000.0)
+        k = 4 * n
+        # The longest row line (a failed row also carries "boom"), with slack.
+        line = max(len(json.dumps(vars(row))) + 1 for row in ledger.rows) + len("boom") + 8
+        compactions, header = len(counting_os.headers), max(counting_os.headers)
+        assert counting_os.lines == k  # one journal line per transition
+        assert counting_os.appended <= k * line
+        # After creation, a compaction follows only a journal larger than the header.
+        assert compactions - 1 <= counting_os.appended / min(counting_os.headers)
+        written = counting_os.appended + counting_os.compacted
+        assert written <= header * (compactions + 1) + k * line
+        # Whole-file rewrites would have written about k headers.
+        assert written < k * header / 8
+        assert ledger.path.stat().st_size <= 2 * header + line
+        assert [vars(r) for r in Ledger.open(ledger.path).rows] == [vars(r) for r in ledger.rows]
+
+    @pytest.mark.parametrize("recovery", ["reopen", "adopt"])
+    def test_reconcile_every_row_writes_linear_bytes(self, tmp_path, recovery, counting_os):
+        n = 120
+        names = [f"rec-{i:05d}" for i in range(n)]
+        ledger = Ledger.create(tmp_path / "l.json", [f"s{i}" for i in range(n)], config=FAST_RETRY)
+        writer = None
+        if recovery == "reopen":
+            # done rows with no store behind them: every one reopens.
+            for index in range(n):
+                ledger.claim("w", now=1.0)
+                ledger.mark_done(index, worker="w", now=1.0)
+        else:
+            # open rows whose recordings the store already holds: every one is adopted.
+            with StoreWriter(tmp_path / "s.store") as store:
+                for name in names:
+                    store.write_ensembles(name, [], sample_rate=16000, total_samples=0)
+            writer = StoreWriter(tmp_path / "s.store")
+        header = len(_ledger_lines(ledger.path)[0])
+        counting_os.appended = counting_os.compacted = counting_os.lines = 0
+        results = [None] * n
+        _reconcile_with_store(ledger, writer, results)
+        expected = OPEN if recovery == "reopen" else DONE
+        assert [r.state for r in Ledger.open(ledger.path).rows] == [expected] * n
+        assert counting_os.lines == n
+        # O(N): about two headers' worth, where rewrite-per-row wrote N headers.
+        assert counting_os.appended + counting_os.compacted <= 3 * header
