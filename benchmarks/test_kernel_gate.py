@@ -1,12 +1,13 @@
-"""Performance gate for the vectorised chunk kernels and the trigger kernel.
+"""Performance gate for the vectorised chunk kernels, the trigger kernel and
+the MESO batch query.
 
-Asserts that the vectorised kernels and the scalar trigger kernel keep
-their measured advantage over the seed implementations they replaced — a
-same-box relative comparison, so the gate is robust to how fast the machine
-itself is.  Each threshold is a named constant below, with the ratio
-measured when the kernel landed as its reason (2026-08-08, one-core
-CI-class container, for the chunk kernels; a two-core container for the
-trigger kernel).
+Asserts that the vectorised kernels, the scalar trigger kernel and the
+GEMM-screened MESO query keep their measured advantage over the seed
+implementations they replaced — a same-box relative comparison, so the gate
+is robust to how fast the machine itself is.  Each threshold is a named
+constant below, with the ratio measured when the kernel landed as its
+reason (2026-08-08, one-core CI-class container, for the chunk kernels; a
+two-core container for the trigger kernel and the MESO query).
 
 Timing assertions are inherently noisy, so the gate only runs when
 ``PERF_GATE=1`` is set (CI runs it as a dedicated tier-2 job; it is
@@ -25,11 +26,18 @@ import pytest
 
 from repro import FAST_EXTRACTION, AcousticPipeline, ClipBuilder
 from repro.core.trigger import AdaptiveTrigger
+from repro.meso import MesoClassifier
+from repro.meso.sphere import SensitivitySphere
 from repro.pipeline import ExtractStage
 from repro.timeseries.bitmap import windowed_code_counts
 from repro.timeseries.paa import paa
 
-from _seed_anchors import SeedAdaptiveTrigger, seed_paa, seed_window_counts
+from _seed_anchors import (
+    SeedAdaptiveTrigger,
+    seed_nearest_sphere_indices,
+    seed_paa,
+    seed_window_counts,
+)
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("PERF_GATE") != "1",
@@ -144,4 +152,42 @@ def test_trigger_kernel_speedup_holds(chunk):
         f"trigger kernel speedup regressed: {speedup:.2f}x < "
         f"{TRIGGER_KERNEL_MIN_SPEEDUP}x "
         f"(new {new_time * 1e3:.1f}ms, seed {seed_time * 1e3:.1f}ms)"
+    )
+
+
+# 3.6–4.8× at landing (five runs, two-core container: ~46 µs against
+# ~165–230 µs per batch); 2.5× leaves room for a loaded runner.
+MESO_QUERY_MIN_SPEEDUP = 2.5
+
+
+def test_meso_query_speedup_holds():
+    """The nearest-sphere batch query in the shape a per-ensemble river
+    classify makes: 4-pattern batches against a 444-sphere, 66-feature
+    memory (the ``store_sweep`` memory).  The GEMM screen vs the seed
+    difference-tensor kernel."""
+    rng = np.random.default_rng(3)
+    meso = MesoClassifier()
+    for index, center in enumerate(rng.random((444, 66))):
+        sphere = SensitivitySphere(center=center.copy())
+        sphere.add(center, f"sp{index % 7}")
+        meso.spheres.append(sphere)
+    meso._dimension = 66
+    centers = meso._center_matrix()
+    blocks = [
+        centers[rng.integers(0, 444, size=4)] + rng.normal(scale=0.05, size=(4, 66))
+        for _ in range(50)
+    ]
+    for block in blocks:
+        np.testing.assert_array_equal(
+            meso._nearest_sphere_indices(block), seed_nearest_sphere_indices(centers, block)
+        )
+
+    new_time = best_of(lambda: [meso._nearest_sphere_indices(b) for b in blocks], iters=5)
+    seed_time = best_of(lambda: [seed_nearest_sphere_indices(centers, b) for b in blocks], iters=5)
+    speedup = seed_time / new_time
+    assert speedup >= MESO_QUERY_MIN_SPEEDUP, (
+        f"MESO query speedup regressed: {speedup:.2f}x < "
+        f"{MESO_QUERY_MIN_SPEEDUP}x "
+        f"(new {new_time / len(blocks) * 1e6:.1f}us, "
+        f"seed {seed_time / len(blocks) * 1e6:.1f}us per batch)"
     )

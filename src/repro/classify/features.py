@@ -123,6 +123,25 @@ class PatternExtractor:
             return znormalize(pattern)
         return pattern
 
+    def _normalize_patterns(self, merged: np.ndarray) -> list[np.ndarray]:
+        """Normalise every row of a ``(patterns, features)`` block.
+
+        Row ``i`` is bit-identical to ``_normalize_pattern(merged[i])``, and
+        no returned pattern aliases ``merged``.  ``"max"`` runs over the
+        whole block at once (the log, the per-row peak and the division
+        are elementwise or per row, so no bit depends on the block); the
+        other modes normalise row by row.
+        """
+        if self.normalize != "max":
+            return [self._normalize_pattern(row) for row in merged.copy()]
+        if self.log_compress:
+            block = np.log1p(self.log_gain * np.abs(merged))
+        else:
+            block = merged.copy()
+        peak = np.max(np.abs(block), axis=1, keepdims=True)
+        np.divide(block, peak, out=block, where=peak > 0)
+        return list(block)
+
     # -- public API ----------------------------------------------------------
 
     def builder(self) -> "IncrementalPatternBuilder":
@@ -132,11 +151,65 @@ class PatternExtractor:
     def patterns_from_samples(self, samples: np.ndarray) -> list[np.ndarray]:
         """Patterns from a raw sample array (one ensemble's worth of audio).
 
-        A thin wrapper over :class:`IncrementalPatternBuilder` fed the whole
-        array as a single slice — bit-identical to feeding the same samples
-        in fragments of any size.
+        Bit-identical to an :class:`IncrementalPatternBuilder` fed the same
+        samples in fragments of any size.
         """
-        return self.builder().push(samples)
+        return self.patterns_from_many([samples])[0]
+
+    #: Most records one batched transform of :meth:`patterns_from_many`
+    #: holds (2 048 × 512 samples is 8 MiB of frames); more ensembles than
+    #: that are transformed block by block.
+    _BLOCK_RECORDS = 2048
+
+    def patterns_from_many(self, sample_arrays) -> list[list[np.ndarray]]:
+        """Patterns of each of several whole ensembles' sample arrays.
+
+        The records of every array are framed into one block, transformed
+        by one :meth:`_frequency_records` call and normalised in one
+        :meth:`_normalize_patterns` call, then split back per array; each
+        list is bit-identical to ``patterns_from_samples`` on that array
+        alone.  Trailing records that never fill a pattern group are not
+        transformed, exactly as the builder drops them.
+        """
+        size = self.config.record_size
+        hop = size // 2
+        group = self.config.records_per_pattern
+        arrays = [np.asarray(samples, dtype=float).ravel() for samples in sample_arrays]
+        counts = [
+            ((arr.size - size) // hop + 1) // group if arr.size >= size else 0
+            for arr in arrays
+        ]
+        patterns: list[np.ndarray] = []
+        block: list[np.ndarray] = []
+        records: list[int] = []
+        held = 0
+        for arr, count in zip(arrays, counts):
+            if not count:
+                continue
+            if records and held + count * group > self._BLOCK_RECORDS:
+                patterns.extend(self._block_patterns(block, records))
+                block, records, held = [], [], 0
+            block.append(arr)
+            records.append(count * group)
+            held += count * group
+        if records:
+            patterns.extend(self._block_patterns(block, records))
+        ends = np.cumsum([0] + counts)
+        return [patterns[ends[i] : ends[i + 1]] for i in range(len(counts))]
+
+    def _block_patterns(self, arrays: list[np.ndarray], records: list[int]) -> list[np.ndarray]:
+        """Patterns of the first ``records[i]`` 50 %-overlapped records of
+        every array, gathered into one frame block."""
+        size = self.config.record_size
+        hop = size // 2
+        counts = np.array(records)
+        joined = np.concatenate(arrays) if len(arrays) > 1 else arrays[0]
+        bases = np.cumsum([0] + [arr.size for arr in arrays[:-1]])
+        firsts = np.repeat(bases - hop * (np.cumsum(counts) - counts), counts)
+        firsts += hop * np.arange(counts.sum())
+        freq = self._frequency_records(joined[firsts[:, None] + np.arange(size)])
+        group = self.config.records_per_pattern
+        return self._normalize_patterns(freq.reshape(-1, group * freq.shape[1]))
 
     def patterns_from_ensemble(self, ensemble: Ensemble) -> list[np.ndarray]:
         """Patterns from an :class:`Ensemble` (label not attached)."""
@@ -233,13 +306,15 @@ class IncrementalPatternBuilder:
                     patterns.append(self.extractor._normalize_pattern(merged))
                     self._freq_records = []
                     self._patterns_built += 1
-            # Whole groups merge straight out of the block; `flatten` copies,
-            # so no returned pattern aliases (and thereby pins) the block.
-            while freq.shape[0] - row >= group:
-                merged = freq[row : row + group].flatten()
-                patterns.append(self.extractor._normalize_pattern(merged))
-                row += group
-                self._patterns_built += 1
+            # Whole groups merge straight out of the block and normalise as
+            # one (groups, features) block; no returned pattern aliases (and
+            # thereby pins) the frequency block.
+            whole = (freq.shape[0] - row) // group
+            if whole:
+                merged = freq[row : row + whole * group].reshape(whole, -1)
+                patterns.extend(self.extractor._normalize_patterns(merged))
+                row += whole * group
+                self._patterns_built += whole
             # Leftover records wait for the next slice — copied out so the
             # carried rows do not keep the whole block alive either.
             self._freq_records.extend(freq[i].copy() for i in range(row, freq.shape[0]))

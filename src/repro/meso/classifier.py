@@ -29,6 +29,9 @@ from .tree import SphereTree
 
 __all__ = ["MesoClassifier", "MesoConfig", "TrainingStats"]
 
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
 
 @dataclass(frozen=True)
 class MesoConfig:
@@ -93,6 +96,12 @@ class MesoClassifier:
         # Pre-allocated (capacity, d) matrix of sphere centres; row i mirrors
         # self.spheres[i].center so nearest-sphere search is one matrix op.
         self._centers: np.ndarray | None = None
+        # The batch screen's operands, kept in step with that matrix so
+        # queries never re-derive them: squared centre norms, and the
+        # (d, capacity) matrix whose column i is −2·centre i (contiguous
+        # per feature, the layout a small BLAS product runs fastest on).
+        self._norms: np.ndarray | None = None
+        self._screen_weights: np.ndarray | None = None
         self._dimension: int | None = None
 
     # -- bookkeeping -------------------------------------------------------
@@ -129,21 +138,32 @@ class MesoClassifier:
     def _ensure_capacity(self, extra: int = 1) -> None:
         """Grow the centre matrix geometrically so appends are amortised O(d)."""
         needed = len(self.spheres) + extra
-        dimension = self._dimension or 1
-        if self._centers is None:
-            capacity = max(64, needed)
-            self._centers = np.zeros((capacity, dimension))
+        if self._centers is not None and self._centers.shape[0] >= needed:
+            return
+        fresh = self._centers is None
+        capacity = max(64, needed) if fresh else max(needed, self._centers.shape[0] * 2)
+        dimension = (self._dimension or 1) if fresh else self._centers.shape[1]
+        old = (self._centers, self._norms, self._screen_weights)
+        self._centers = np.zeros((capacity, dimension))
+        self._norms = np.zeros(capacity)
+        self._screen_weights = np.zeros((dimension, capacity))
+        if fresh:
             for i, sphere in enumerate(self.spheres):
-                self._centers[i] = sphere.center
-        elif self._centers.shape[0] < needed:
-            capacity = max(needed, self._centers.shape[0] * 2)
-            grown = np.zeros((capacity, self._centers.shape[1]))
-            grown[: len(self.spheres)] = self._centers[: len(self.spheres)]
-            self._centers = grown
+                self._write_center(i, sphere.center)
+        else:
+            count = len(self.spheres)
+            self._centers[:count] = old[0][:count]
+            self._norms[:count] = old[1][:count]
+            self._screen_weights[:, :count] = old[2][:, :count]
+
+    def _write_center(self, index: int, center: np.ndarray) -> None:
+        self._centers[index] = center
+        self._norms[index] = self._centers[index] @ self._centers[index]
+        self._screen_weights[:, index] = -2.0 * self._centers[index]
 
     def _set_center(self, index: int, center: np.ndarray) -> None:
         self._ensure_capacity()
-        self._centers[index] = center
+        self._write_center(index, center)
 
     def _center_matrix(self) -> np.ndarray:
         self._ensure_capacity(extra=0)
@@ -166,21 +186,34 @@ class MesoClassifier:
 
     #: Upper bound on queries per block of the vectorised batch path.
     _BATCH_BLOCK = 256
-    #: Element budget for one (block, spheres, dimension) difference
-    #: tensor (~128 MB of float64); the block shrinks as the memory grows
-    #: so large sub-tree-threshold memories cannot blow up RAM.  Blocking
-    #: never changes per-row arithmetic.
+    #: Element budget for one block's worst-case rescoring gather, a
+    #: (block × spheres, dimension) difference matrix (~128 MB of float64);
+    #: the block shrinks as the memory grows so large sub-tree-threshold
+    #: memories cannot blow up RAM.  Blocking never changes per-row results.
     _BATCH_ELEMENT_BUDGET = 16_777_216
+    #: Screening scales at or above this could overflow the exact rescoring
+    #: (a squared distance is at most twice the scale); such rows are
+    #: rescored against every sphere instead.
+    _SCREEN_SCALE_LIMIT = float(np.finfo(float).max) / 8
+    #: Multiply-adds per screening product.  OpenBLAS runs a product this
+    #: small on the calling thread; larger ones wake its thread pool, whose
+    #: spinning workers stalled a 2-core, CPU-quota'd container for 15–40 ms
+    #: on about one call in five.
+    _GEMM_TILE = 1 << 18
 
     def _nearest_sphere_indices(self, matrix: np.ndarray) -> np.ndarray:
         """Nearest-sphere index for every row of ``matrix``, vectorised.
 
-        Row ``b`` gets exactly the result :meth:`_nearest_sphere` would
-        return for ``matrix[b]``: the subtraction, the squared-distance
-        reduction (a plain C summation over the contiguous feature axis in
-        both shapes) and the first-minimum ``argmin`` tie-break are
-        identical operations, so the batch path is bit-equal to the scalar
-        path — the equivalence tests in ``tests/test_meso.py`` enforce it.
+        Row ``b`` gets exactly the index :meth:`_nearest_sphere` returns for
+        ``matrix[b]``.  A GEMM screen ``‖c‖² − 2·x·cᵀ + ‖x‖²`` ranks every
+        sphere, but inexactly, so each row keeps every sphere whose screened
+        distance lies within twice a rigorous error bound of the row
+        minimum.  A row that keeps one sphere has its answer; a row that
+        keeps several is rescored on just those with the scalar path's
+        difference arithmetic and first-minimum tie-break; a row whose
+        scale is non-finite (or could overflow) is rescored against every
+        sphere.  ``tests/test_meso_kernel.py`` pins the equivalence on
+        adversarial memories.
         """
         if not self.spheres:
             raise ValueError("memory is empty")
@@ -191,14 +224,86 @@ class MesoClassifier:
                 [self._nearest_sphere(row)[0] for row in matrix], dtype=np.intp
             )
         centers = self._center_matrix()
+        count, dimension = centers.shape
+        norms = self._norms[:count]
+        weights = self._screen_weights[:, :count]
+        # Forward-error bound, with u = eps/2 the unit roundoff, γ_n = n·u /
+        # (1 − n·u) and S = ‖c‖² + ‖x‖² (any summation order, FMA or not):
+        #   * the two norms err by ≤ γ_d·S together, the doubled dot product
+        #     by ≤ 2·γ_d·Σ|x_k·c_k| ≤ γ_d·S, and the two additions forming
+        #     the screen s by ≤ 5·u·S;
+        #   * the scalar path's D̂ = Σ fl(c_k − x_k)² errs from the true
+        #     D = ‖c − x‖² ≤ 2·S by ≤ γ_{d+2}·D ≤ 2·γ_{d+2}·S.
+        # Hence |s − D̂| ≤ (2·γ_d + 2·γ_{d+2} + 5·u)·S ≈ (2·d + 4.5)·eps·S.
+        # `factor` = 4·(d + 4)·eps, about twice that, which also covers the
+        # roundings of S and of the row threshold.  S is taken at the
+        # largest centre norm, plus `tiny` so that underflowed (subnormal)
+        # products, each off by at most 2⁻¹⁰⁷⁵, stay covered.  With every
+        # |s − D̂| ≤ bound, the exact winner j* has s_j* ≤ D̂_j* + bound ≤
+        # D̂_k + bound ≤ s_k + 2·bound for every k, so it is always kept.
+        factor = 4.0 * (dimension + 4) * _EPS
+        offset = np.maximum.reduce(norms) + _TINY
+        span = max(1, self._GEMM_TILE // dimension)
+        tile = max(1, self._GEMM_TILE // (min(span, count) * dimension))
         rows = max(1, min(self._BATCH_BLOCK, self._BATCH_ELEMENT_BUDGET // max(1, centers.size)))
         indices = np.empty(matrix.shape[0], dtype=np.intp)
         for start in range(0, matrix.shape[0], rows):
             block = matrix[start : start + rows]
-            diff = centers[None, :, :] - block[:, None, :]
-            dists = np.einsum("bij,bij->bi", diff, diff)
-            indices[start : start + rows] = np.argmin(dists, axis=1)
+            with np.errstate(invalid="ignore", over="ignore"):
+                if block.shape[0] <= tile and count <= span:
+                    screen = block @ weights
+                else:
+                    screen = np.empty((block.shape[0], count))
+                    for lo in range(0, block.shape[0], tile):
+                        for col in range(0, count, span):
+                            np.matmul(
+                                block[lo : lo + tile],
+                                weights[:, col : col + span],
+                                out=screen[lo : lo + tile, col : col + span],
+                            )
+                block_norms = np.einsum("ij,ij->i", block, block)
+                screen += norms
+                screen += block_norms[:, None]
+                scale = block_norms + offset
+                threshold = np.minimum.reduce(screen, axis=1) + 2.0 * factor * scale
+                keep = screen <= threshold[:, None]
+            chosen = screen.argmin(axis=1)
+            # A safe row always keeps its own minimum, so when every row is
+            # safe, one kept sphere per row means none needs rescoring.  NaN
+            # compares False, so a non-finite row is never safe.
+            if not (
+                np.maximum.reduce(scale) < self._SCREEN_SCALE_LIMIT
+                and np.count_nonzero(keep) == block.shape[0]
+            ):
+                safe = scale < self._SCREEN_SCALE_LIMIT
+                for row in np.flatnonzero(~safe):
+                    diff = centers - block[row][None, :]
+                    chosen[row] = np.argmin(np.einsum("ij,ij->i", diff, diff))
+                ties = np.flatnonzero(safe & (keep.sum(axis=1) > 1))
+                if ties.size:
+                    chosen[ties] = self._rescore(centers, block[ties], keep[ties])
+            indices[start : start + rows] = chosen
         return indices
+
+    @staticmethod
+    def _rescore(centers: np.ndarray, queries: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        """First exact minimum over each row's kept spheres.
+
+        ``keep`` is a (queries, spheres) mask; the distances are the scalar
+        path's own difference arithmetic, and kept spheres are visited in
+        ascending index order, so the first minimum is the one ``argmin``
+        over all spheres would pick.
+        """
+        row_of, sphere_of = np.nonzero(keep)
+        diff = centers[sphere_of] - queries[row_of]
+        dists = np.einsum("ij,ij->i", diff, diff)
+        starts = np.flatnonzero(np.r_[True, row_of[1:] != row_of[:-1]])
+        lowest = np.minimum.reduceat(dists, starts)
+        counts = np.diff(np.r_[starts, dists.size])
+        position = np.where(
+            dists == np.repeat(lowest, counts), np.arange(dists.size), dists.size
+        )
+        return sphere_of[np.minimum.reduceat(position, starts)]
 
     def _check_matrix(self, patterns) -> np.ndarray:
         """Validate a batch of query patterns into a (n, dimension) matrix."""
@@ -268,6 +373,8 @@ class MesoClassifier:
         self.delta = self.config.initial_delta
         self._tree = None
         self._centers = None
+        self._norms = None
+        self._screen_weights = None
         self._dimension = None
         self.stats = TrainingStats()
 
@@ -312,7 +419,11 @@ class MesoClassifier:
         equivalence is covered by tests — but the nearest-sphere search
         runs as a single NumPy computation over all query patterns.
         """
-        return [sphere.majority_label() for sphere in self.query_batch(patterns)]
+        spheres = self.query_batch(patterns)
+        # One majority count per distinct sphere, not per query.
+        distinct = {id(sphere): sphere for sphere in spheres}
+        labels = {key: sphere.majority_label() for key, sphere in distinct.items()}
+        return [labels[id(sphere)] for sphere in spheres]
 
     def predict_proba(self, pattern: np.ndarray) -> dict[Hashable, float]:
         """Label distribution of the nearest sphere (not calibrated probabilities)."""

@@ -460,15 +460,17 @@ class BuiltPipeline:
         ]
         for stage in stages:
             begin_run(stage, rate)
-        events: list[PipelineEvent] = []
-        for stored in reader.iter_ensembles(recording=recording):
-            if stored.n_patterns >= 0:
-                event: PipelineEvent = FeaturesEvent(
-                    ensemble=stored.ensemble, patterns=stored.patterns
-                )
-            else:
-                event = EnsembleEvent(ensemble=stored.ensemble)
-            events.extend(_push(stages, [event]))
+        # One push for the whole recording, so the feature and classify
+        # stages batch across its ensembles.
+        events = _push(
+            stages,
+            [
+                FeaturesEvent(ensemble=stored.ensemble, patterns=stored.patterns)
+                if stored.n_patterns >= 0
+                else EnsembleEvent(ensemble=stored.ensemble)
+                for stored in reader.iter_ensembles(recording=recording)
+            ],
+        )
         events.extend(_flush(stages, info.total_samples))
         return PipelineResult.from_events(
             events, sample_rate=rate, total_samples=info.total_samples
@@ -609,12 +611,10 @@ def end_run(stage: Stage, total_samples: int | None) -> list[PipelineEvent]:
 
 
 def _push(stages: list[Stage], events: list[PipelineEvent]) -> list[PipelineEvent]:
-    """Push a batch of events through ``stages`` in order."""
+    """Push a batch of events through ``stages`` in order, one
+    :meth:`~repro.pipeline.stages.Stage.process_events` call per stage."""
     for stage in stages:
-        moved: list[PipelineEvent] = []
-        for event in events:
-            moved.extend(stage.process(event))
-        events = moved
+        events = stage.process_events(events)
     return events
 
 

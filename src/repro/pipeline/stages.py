@@ -4,6 +4,10 @@ A *stage* is a stateful event transformer with a tiny lifecycle:
 
 * ``start(sample_rate)`` — called once per run before any event;
 * ``process(event)`` — map one event to zero or more output events;
+* ``process_events(events)`` — optional: map a batch of events at once.
+  The default loops :meth:`Stage.process`; a stage overrides it to share
+  one vectorised call across the batch, and must then return exactly what
+  that loop would, in event order;
 * ``flush()`` — emit whatever is still buffered at end of stream;
 * ``reset()`` — drop all carried state so the stage can be reused.
 
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter, deque
-from typing import Hashable
+from typing import Callable, Hashable
 
 import numpy as np
 
@@ -75,6 +79,15 @@ class Stage:
     def process(self, event: PipelineEvent) -> list[PipelineEvent]:
         """Transform one event; unknown events must be forwarded unchanged."""
         raise NotImplementedError
+
+    def process_events(self, events: list[PipelineEvent]) -> list[PipelineEvent]:
+        """Transform a batch of events: by default, :meth:`process` on each
+        in turn.  An override must return the same events in the same
+        order."""
+        outputs: list[PipelineEvent] = []
+        for event in events:
+            outputs.extend(self.process(event))
+        return outputs
 
     def flush(self) -> list[PipelineEvent]:
         """Emit buffered events at end of stream (default: nothing)."""
@@ -401,12 +414,30 @@ class FeatureStage(Stage):
         return self.extractor.patterns_from_samples(samples)
 
     def process(self, event: PipelineEvent) -> list[PipelineEvent]:
+        return self.process_events([event])
+
+    def process_events(self, events: list[PipelineEvent]) -> list[PipelineEvent]:
+        """Fragments step the incremental builder one by one; the patterns
+        of every whole ensemble of the batch come from one
+        :meth:`~repro.classify.PatternExtractor.patterns_from_many` call."""
+        return _splice(
+            events,
+            lambda event: isinstance(event, EnsembleEvent),
+            self._features,
+            self._process_other,
+        )
+
+    def _features(self, events: list[EnsembleEvent]) -> list[PipelineEvent]:
+        made = self.extractor.patterns_from_many([event.ensemble.samples for event in events])
+        return [
+            FeaturesEvent(ensemble=event.ensemble, patterns=tuple(patterns))
+            for event, patterns in zip(events, made)
+        ]
+
+    def _process_other(self, event: PipelineEvent) -> list[PipelineEvent]:
         if isinstance(event, EnsembleFragmentEvent):
             return self._process_fragment(event)
-        if not isinstance(event, EnsembleEvent):
-            return [event]
-        patterns = tuple(self.extractor.patterns_from_ensemble(event.ensemble))
-        return [FeaturesEvent(ensemble=event.ensemble, patterns=patterns)]
+        return [event]
 
     # -- fragment path --------------------------------------------------------
 
@@ -464,23 +495,71 @@ class ClassifyStage(Stage):
             )
         self.classifier = classifier
 
+    #: Most patterns one batched prediction holds; a longer batch of
+    #: ensembles is predicted block by block.
+    _BLOCK_PATTERNS = 4096
+
     def process(self, event: PipelineEvent) -> list[PipelineEvent]:
-        if not isinstance(event, FeaturesEvent):
-            return [event]
-        if event.ensemble is None:
-            # A partial per-pattern event of a still-open ensemble: voting
-            # needs the full pattern set, so pass it through untouched and
-            # classify the terminal event instead.
-            return [event]
-        votes: Counter[Hashable] = Counter(
-            predict_patterns(self.classifier, event.patterns)
+        return self.process_events([event])
+
+    def process_events(self, events: list[PipelineEvent]) -> list[PipelineEvent]:
+        """Every whole-ensemble :class:`FeaturesEvent` of the batch is voted
+        from one prediction call over all their patterns.  A partial
+        per-pattern event of a still-open ensemble (``ensemble is None``)
+        passes through untouched: voting needs the full pattern set, so the
+        terminal event is classified instead."""
+        return _splice(
+            events,
+            lambda event: isinstance(event, FeaturesEvent) and event.ensemble is not None,
+            self._classify,
+            lambda event: [event],
         )
-        label = majority_vote(list(votes.elements())) if votes else None
-        return [
-            ClassifiedEvent(
-                ensemble=event.ensemble,
-                patterns=event.patterns,
-                label=label,
-                votes=dict(votes),
+
+    def _classify(self, events: list[FeaturesEvent]) -> list[PipelineEvent]:
+        patterns = [pattern for event in events for pattern in event.patterns]
+        labels: list[Hashable] = []
+        for start in range(0, len(patterns), self._BLOCK_PATTERNS):
+            block = patterns[start : start + self._BLOCK_PATTERNS]
+            labels.extend(predict_patterns(self.classifier, block))
+        outputs: list[PipelineEvent] = []
+        start = 0
+        for event in events:
+            votes: Counter[Hashable] = Counter(labels[start : start + len(event.patterns)])
+            start += len(event.patterns)
+            label = majority_vote(list(votes.elements())) if votes else None
+            outputs.append(
+                ClassifiedEvent(
+                    ensemble=event.ensemble,
+                    patterns=event.patterns,
+                    label=label,
+                    votes=dict(votes),
+                )
             )
-        ]
+        return outputs
+
+
+def _splice(
+    events: list[PipelineEvent],
+    batched: Callable[[PipelineEvent], bool],
+    transform: Callable[[list], list[PipelineEvent]],
+    single: Callable[[PipelineEvent], list[PipelineEvent]],
+) -> list[PipelineEvent]:
+    """``events`` mapped in order: the events ``batched`` selects go through
+    one ``transform`` call (one output event each), every other event
+    through ``single`` (zero or more outputs each)."""
+    slots: list[list[PipelineEvent] | None] = []
+    chosen: list[PipelineEvent] = []
+    for event in events:
+        if batched(event):
+            chosen.append(event)
+            slots.append(None)
+        else:
+            slots.append(single(event))
+    made = iter(transform(chosen) if chosen else ())
+    outputs: list[PipelineEvent] = []
+    for slot in slots:
+        if slot is None:
+            outputs.append(next(made))
+        else:
+            outputs.extend(slot)
+    return outputs

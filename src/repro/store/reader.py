@@ -78,6 +78,10 @@ class StoreReader:
             )
         self.backend: Backend = resolve_backend(self.manifest.get("backend", "npz"))
         self._rows: dict[str, list[dict]] | None = None
+        # Ensemble rows in (recording, ordinal) order, all and per recording;
+        # built once with the rows so a filtered read never re-sorts them.
+        self._ordered: list[dict] = []
+        self._by_recording: dict[str, list[dict]] = {}
         self._audio: dict[tuple[str, int], list[dict]] | None = None
         self._patterns: dict[tuple[str, int], list[dict]] | None = None
 
@@ -140,6 +144,11 @@ class StoreReader:
                 columns = self.backend.read_table(shard_path, shard["kind"])
                 rows[shard["kind"]].extend(columns_to_rows(shard["kind"], columns))
             self._rows = rows
+            self._ordered = sorted(
+                rows[ENSEMBLES], key=lambda row: (row["recording"], row["ordinal"])
+            )
+            for row in self._ordered:
+                self._by_recording.setdefault(row["recording"], []).append(row)
             audio: dict[tuple[str, int], list[dict]] = {}
             for row in rows[AUDIO]:
                 audio.setdefault((row["recording"], row["ordinal"]), []).append(row)
@@ -194,14 +203,12 @@ class StoreReader:
         ground-truth label.  Only closed (complete) ensembles are yielded;
         see :meth:`incomplete` for interrupted ones.
         """
-        rows = self._load()[ENSEMBLES]
-        ordered = sorted(
-            range(len(rows)), key=lambda i: (rows[i]["recording"], rows[i]["ordinal"])
-        )
-        for index in ordered:
-            row = rows[index]
-            if recording is not None and row["recording"] != recording:
-                continue
+        self._load()
+        if recording is None:
+            rows = self._ordered
+        else:
+            rows = self._by_recording.get(recording, [])
+        for row in rows:
             if station is not None and row["station"] != station:
                 continue
             if since is not None and row["start"] < since:

@@ -10,19 +10,25 @@ pattern dimensionality by a factor of 10 before classification (Section 3,
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = ["paa", "paa_records", "paa_by_factor", "inverse_paa", "paa_matrix"]
 
 
+@lru_cache(maxsize=32)
 def _fractional_weights(n: int, segments: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sparse (segment, sample, weight) triples for fractional PAA.
+
+    Memoised per ``(n, segments)`` — a feature extractor asks for the same
+    shape on every block — and returned read-only, so no caller can
+    corrupt the shared copy.
 
     Sample ``j`` spans ``[j, j + 1)`` on the input axis; output segment
     ``seg`` spans ``[seg * n/segments, (seg + 1) * n/segments)``.  The triples
     are ordered segment-major with ascending sample index inside each
-    segment — the same order the historical double loop accumulated in, which
-    keeps `np.add.at` sums bit-identical to it.
+    segment — the order the historical double loop accumulated in.
     """
     seg_len = n / segments
     segs = np.arange(segments)
@@ -36,7 +42,43 @@ def _fractional_weights(n: int, segments: int) -> tuple[np.ndarray, np.ndarray, 
     samples = np.repeat(firsts, counts) + offsets
     weights = np.minimum(ends[seg_idx], samples + 1) - np.maximum(starts[seg_idx], samples)
     keep = weights > 0
-    return seg_idx[keep], samples[keep], weights[keep]
+    triples = (seg_idx[keep], samples[keep], weights[keep])
+    for array in triples:
+        array.flags.writeable = False
+    return triples
+
+
+@lru_cache(maxsize=32)
+def _fold_steps(n: int, segments: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Step ``k`` of the fractional fold: the segments that have a ``k``-th
+    triple, and that triple's index into :func:`_fractional_weights`."""
+    seg_idx = _fractional_weights(n, segments)[0]
+    rank = np.arange(seg_idx.size) - np.searchsorted(seg_idx, seg_idx)
+    steps = []
+    for k in range(int(rank.max()) + 1):
+        triples = np.flatnonzero(rank == k)
+        steps.append((seg_idx[triples], triples))
+    for pair in steps:
+        for array in pair:
+            array.flags.writeable = False
+    return tuple(steps)
+
+
+def _fractional_paa(arr: np.ndarray, segments: int) -> np.ndarray:
+    """Fractional-frame PAA of every row of a contiguous 2-D block.
+
+    Each segment's weighted samples are added one triple per step, starting
+    from 0.0, in the double loop's order, so every segment mean is
+    bit-identical to it; a step adds the ``k``-th triple of every segment
+    (and every row) at once.
+    """
+    n = arr.shape[1]
+    _, samples, weights = _fractional_weights(n, segments)
+    products = arr[:, samples] * weights
+    output = np.zeros((arr.shape[0], segments), dtype=float)
+    for segs, triples in _fold_steps(n, segments):
+        output[:, segs] += products[:, triples]
+    return output / (n / segments)
 
 
 def paa(values: np.ndarray, segments: int) -> np.ndarray:
@@ -71,13 +113,7 @@ def paa(values: np.ndarray, segments: int) -> np.ndarray:
         return arr.reshape(segments, n // segments).mean(axis=1)
     # Fractional frame assignment: sample j spans [j, j+1) on a length-n axis
     # rescaled so each output segment spans exactly n/segments input units.
-    # `np.add.at` applies the weighted contributions sequentially in triple
-    # order, so each segment's sum accumulates in the same order as the
-    # historical per-segment loop — the result is bit-identical.
-    seg_idx, samples, weights = _fractional_weights(n, segments)
-    output = np.zeros(segments, dtype=float)
-    np.add.at(output, seg_idx, arr[samples] * weights)
-    return output / (n / segments)
+    return _fractional_paa(arr[None, :], segments)[0]
 
 
 def paa_records(records: np.ndarray, segments: int) -> np.ndarray:
@@ -107,12 +143,7 @@ def paa_records(records: np.ndarray, segments: int) -> np.ndarray:
         return arr.copy()
     if n % segments == 0:
         return arr.reshape(arr.shape[0], segments, n // segments).mean(axis=2)
-    seg_idx, samples, weights = _fractional_weights(n, segments)
-    output = np.zeros((arr.shape[0], segments), dtype=float)
-    # Sequential per-column accumulation in triple order: each row's segment
-    # sums build up in exactly the order the 1-D kernel adds them.
-    np.add.at(output, (slice(None), seg_idx), arr[:, samples] * weights)
-    return output / (n / segments)
+    return _fractional_paa(arr, segments)
 
 
 def paa_by_factor(values: np.ndarray, factor: int) -> np.ndarray:

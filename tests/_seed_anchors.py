@@ -1,6 +1,7 @@
 """Seed implementations kept verbatim as parity anchors — the one copy.
 
-The kernels (``seed_paa``, ``seed_window_counts``), the per-sample adaptive
+The kernels (``seed_paa``, ``seed_window_counts``,
+``seed_nearest_sphere_indices``), the per-sample adaptive
 trigger (``SeedAdaptiveTrigger``) and the wire codec (``seed_pack_record``
 … ``SeedRecordFrameDecoder``) are what the vectorised kernels, the scalar
 trigger kernel and the zero-copy wire path replaced.  The parity suites in
@@ -65,6 +66,20 @@ def seed_window_counts(codes, ends, lead_starts, lag_starts, n_codes):
         lead_counts[:, code] = at_end - at_lead
         lag_counts[:, code] = at_lead - at_lag
     return lead_counts, lag_counts
+
+
+def seed_nearest_sphere_indices(centers: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """The difference-tensor MESO batch query (pre-GEMM-screen
+    ``MesoClassifier._nearest_sphere_indices``), over a ``(spheres, d)``
+    centre matrix, with its block size and element budget."""
+    rows = max(1, min(256, 16_777_216 // max(1, centers.size)))
+    indices = np.empty(matrix.shape[0], dtype=np.intp)
+    for start in range(0, matrix.shape[0], rows):
+        block = matrix[start : start + rows]
+        diff = centers[None, :, :] - block[:, None, :]
+        dists = np.einsum("bij,bij->bi", diff, diff)
+        indices[start : start + rows] = np.argmin(dists, axis=1)
+    return indices
 
 
 # -- seed adaptive trigger ------------------------------------------------------

@@ -17,7 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.core.cutter import Ensemble
 from repro.store import StoreReader, StoreWriter, available_backends
+from repro.store.schema import ENSEMBLES
 
 DEFAULT_SETTINGS = dict(max_examples=25, deadline=None)
 
@@ -205,3 +207,48 @@ class TestInterruptedWrites:
             # Everything written *before* the interruption is untouched.
             for index, specs in enumerate(data):
                 check_recording(reader, f"rec-{index:05d}", specs)
+
+
+class _WatchedRow(dict):
+    """An ensembles-table row that records every read of it."""
+
+    touched: set[int] = set()
+
+    def __getitem__(self, key):
+        _WatchedRow.touched.add(id(self))
+        return super().__getitem__(key)
+
+
+class TestRecordingIndex:
+    def test_one_result_reads_only_its_own_rows(self, tmp_path, monkeypatch):
+        """A recording filter walks that recording's rows, not the store's:
+        on a 200-recording store, the ensemble rows one ``result(name)``
+        reads are exactly that recording's rows."""
+        import repro.store.reader as reader_module
+
+        rng = np.random.default_rng(0)
+        with StoreWriter(tmp_path / "store") as writer:
+            for index in range(200):
+                ensembles = [
+                    Ensemble(samples=rng.normal(size=8), start=10 * k, end=10 * k + 8, sample_rate=16000)
+                    for k in range(1 + index % 3)
+                ]
+                writer.write_ensembles(f"rec-{index:05d}", ensembles, total_samples=40)
+        plain = reader_module.columns_to_rows
+
+        def watched(kind, columns):
+            rows = plain(kind, columns)
+            return [_WatchedRow(row) for row in rows] if kind == ENSEMBLES else rows
+
+        monkeypatch.setattr(reader_module, "columns_to_rows", watched)
+        reader = StoreReader(tmp_path / "store")
+        reader.incomplete()  # loads the shards and builds the index
+        own = {id(row) for row in reader._rows[ENSEMBLES] if dict.__getitem__(row, "recording") == "rec-00107"}
+        _WatchedRow.touched = set()
+        result = reader.result("rec-00107")
+        assert len(result.ensembles) == len(own) == 3
+        assert _WatchedRow.touched == own
+        # Every other recording still reads back in ordinal order.
+        for index in (0, 1, 199):
+            starts = [e.start for e in reader.result(f"rec-{index:05d}").ensembles]
+            assert starts == [10 * k for k in range(1 + index % 3)]

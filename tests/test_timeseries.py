@@ -30,6 +30,9 @@ from repro.timeseries import (
     symbolize,
     znormalize,
 )
+from repro.timeseries.paa import _fractional_weights, _fold_steps, paa_records
+
+from _seed_anchors import seed_paa
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +107,23 @@ class TestPaa:
         reduced = paa_matrix(matrix, 4, axis=0)
         assert reduced.shape == (4, 5)
         np.testing.assert_allclose(reduced[:, 2], paa(matrix[:, 2], 4))
+
+    @pytest.mark.parametrize("n,segments", [(195, 20), (1000, 128), (97, 10), (40, 8), (7, 7), (9, 1)])
+    def test_paa_records_rows_equal_seed_paa(self, rng, n, segments):
+        # Fractional and divisible shapes, each computed twice so the second
+        # call runs on the memoised weights.
+        block = rng.normal(size=(12, n)) * 10.0 ** rng.integers(-3, 4, size=(12, 1))
+        for _ in range(2):
+            out = paa_records(block, segments)
+            for row, values in zip(out, block):
+                assert row.tobytes() == seed_paa(values, segments).tobytes()
+
+    def test_cached_weights_are_shared_and_read_only(self):
+        first = _fractional_weights(195, 20)
+        assert _fractional_weights(195, 20) is first
+        for array in first + tuple(a for step in _fold_steps(195, 20) for a in step):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
 
 
 # ---------------------------------------------------------------------------
