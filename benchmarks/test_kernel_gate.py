@@ -1,13 +1,15 @@
-"""Performance gate for the vectorised chunk kernels, the trigger kernel and
-the MESO batch query.
+"""Performance gate for the vectorised chunk kernels, the trigger kernel,
+the MESO batch query and the batched river operators.
 
 Asserts that the vectorised kernels, the scalar trigger kernel and the
 GEMM-screened MESO query keep their measured advantage over the seed
-implementations they replaced — a same-box relative comparison, so the gate
-is robust to how fast the machine itself is.  Each threshold is a named
-constant below, with the ratio measured when the kernel landed as its
-reason (2026-08-08, one-core CI-class container, for the chunk kernels; a
-two-core container for the trigger kernel and the MESO query).
+implementations they replaced, and that the river's ensemble operators keep
+theirs when a segment step hands them a batch — a same-box relative
+comparison, so the gate is robust to how fast the machine itself is.  Each
+threshold is a named constant below, with the ratio measured when the
+kernel landed as its reason (2026-08-08, one-core CI-class container, for
+the chunk kernels; a two-core container for the trigger kernel, the MESO
+query and the operator batch).
 
 Timing assertions are inherently noisy, so the gate only runs when
 ``PERF_GATE=1`` is set (CI runs it as a dedicated tier-2 job; it is
@@ -29,6 +31,10 @@ from repro.core.trigger import AdaptiveTrigger
 from repro.meso import MesoClassifier
 from repro.meso.sphere import SensitivitySphere
 from repro.pipeline import ExtractStage
+from repro.river import Pipeline, PipelineSegment, QueueChannel
+from repro.river.operators import ClipSource
+from repro.river.serialization import pack_record
+from repro.synth import get_species
 from repro.timeseries.bitmap import windowed_code_counts
 from repro.timeseries.paa import paa
 
@@ -190,4 +196,54 @@ def test_meso_query_speedup_holds():
         f"{MESO_QUERY_MIN_SPEEDUP}x "
         f"(new {new_time / len(blocks) * 1e6:.1f}us, "
         f"seed {seed_time / len(blocks) * 1e6:.1f}us per batch)"
+    )
+
+
+# 1.8–2.3× at landing (five runs, two-core container: features + classify
+# over ~100 ensemble scopes, 64-record steps against 1-record steps); 1.4×
+# leaves room for a loaded runner.
+RIVER_OPERATOR_BATCH_MIN_SPEEDUP = 1.4
+
+
+def test_river_operator_batch_speedup_holds():
+    """The features and classify operators of a compiled river graph over
+    the extract operator's record stream for eight 8 s clips: segments
+    stepped 64 records at a time (every buffered scope of a step in one
+    stage call) against one record at a time.  Both give the same stream."""
+    rng = np.random.default_rng(7)
+    species = ["NOCA", "TUTI", "RWBL"]
+    meso = MesoClassifier()
+    spec = AcousticPipeline().extract(FAST_EXTRACTION, keep_traces=False).features(use_paa=True)
+    trainer = spec.build()
+    for code in species * 6:
+        for pattern in trainer.patterns_for(get_species(code).render(16000, rng)):
+            meso.partial_fit(pattern, code)
+    spec = spec.classify(meso)
+    clips = [ClipBuilder(sample_rate=16000, duration=8.0).build(species, rng) for _ in range(8)]
+    extract, *operators = spec.to_river().operators
+    records = Pipeline([extract]).run(ClipSource(clips).generate())
+
+    def run(allowance: int) -> list:
+        stream = records
+        for operator in operators:
+            operator.reset()
+            segment = PipelineSegment("gate", Pipeline([operator]), input_channel=QueueChannel())
+            for record in stream:
+                segment.input_channel.put(record)
+            while not segment.finished:
+                segment.step(allowance)
+            stream = list(segment.drain_output())
+        return stream
+
+    batched, single = run(64), run(1)
+    assert sum(record.is_open for record in single) > 80
+    assert list(map(pack_record, batched)) == list(map(pack_record, single))
+
+    batch_time = best_of(lambda: run(64), repeats=7, iters=3)
+    single_time = best_of(lambda: run(1), repeats=7, iters=3)
+    speedup = single_time / batch_time
+    assert speedup >= RIVER_OPERATOR_BATCH_MIN_SPEEDUP, (
+        f"river operator batch speedup regressed: {speedup:.2f}x < "
+        f"{RIVER_OPERATOR_BATCH_MIN_SPEEDUP}x "
+        f"(64-record steps {batch_time * 1e3:.1f}ms, 1-record steps {single_time * 1e3:.1f}ms)"
     )

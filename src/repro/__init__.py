@@ -93,7 +93,7 @@ from .synth import (
     get_species,
 )
 
-__version__ = "7.1.0"
+__version__ = "7.2.0"
 
 __all__ = [
     "AcousticClip",

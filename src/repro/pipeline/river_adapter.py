@@ -42,12 +42,13 @@ changes memory and latency, never output.
   extract stage as :class:`~repro.pipeline.results.SignalChunk` events and
   encodes what comes out — whole ensembles, or fragment events record by
   record while the run is still open;
-* :class:`EnsembleStageOperator` decodes one scope at a time, passes the
-  event through the wrapped stage (features, classify or any plugin) and
-  re-encodes the result.  When the wrapped stage consumes fragments, a
-  fragmented scope is *pumped* instead: its records pass straight through
-  while the stage sees them as fragment events, and each pattern the stage
-  completes is appended to the open scope.
+* :class:`EnsembleStageOperator` decodes the scopes of a batch — the
+  records one segment step pulled — passes their events through the
+  wrapped stage (features, classify or any plugin) in one call and
+  re-encodes each result in its scope's place.  When the wrapped stage
+  consumes fragments, a fragmented scope is *pumped* instead: its records
+  pass straight through while the stage sees them as fragment events, and
+  each pattern the stage completes is appended to the open scope.
 
 Both run their stage once per clip scope, as one in-process ``run()`` does
 (``_StageOperator``); the store sink is an ensemble operator too.
@@ -80,7 +81,7 @@ same clip — :func:`collect_result` decodes them back into
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -91,6 +92,7 @@ from ..river.pipeline import Pipeline as RiverPipeline, PipelineSegment, split_i
 from ..river.placement import Deployment, Host, StationScheduler, station_hash
 from ..river.records import (
     Record,
+    RecordType,
     ScopeType,
     Subtype,
     bad_close_scope,
@@ -141,6 +143,13 @@ ROUTING_ORDINAL = "fanout_ordinal"
 
 _ENSEMBLE = ScopeType.ENSEMBLE.value
 _CLIP = ScopeType.CLIP.value
+_AUDIO = Subtype.AUDIO.value
+_FRAGMENT = Subtype.FRAGMENT.value
+_FEATURES = Subtype.FEATURES.value
+_LABEL = Subtype.LABEL.value
+#: The LABEL record's empty payload (read-only, so every verdict shares it).
+_NO_SAMPLES = np.zeros(0)
+_NO_SAMPLES.flags.writeable = False
 
 
 def event_to_records(event: PipelineEvent, depth: int, index: int) -> list[Record]:
@@ -166,7 +175,7 @@ def event_to_records(event: PipelineEvent, depth: int, index: int) -> list[Recor
     ensemble = event.ensemble
     if ensemble is None:
         return [
-            data_record(pattern, Subtype.FEATURES.value, depth + 1, _ENSEMBLE, index + offset)
+            data_record(pattern, _FEATURES, depth + 1, _ENSEMBLE, index + offset)
             for offset, pattern in enumerate(event.patterns)
         ]
     context = {
@@ -179,19 +188,19 @@ def event_to_records(event: PipelineEvent, depth: int, index: int) -> list[Recor
     if isinstance(event, (FeaturesEvent, ClassifiedEvent)):
         context["n_patterns"] = len(event.patterns)
     inner = depth + 1
+    # One context dict for the whole scope: a record's context is replaced,
+    # never mutated in place, so its records may share it.
     records = [
-        open_scope(depth, _ENSEMBLE, index, dict(context)),
-        data_record(ensemble.samples, Subtype.AUDIO.value, inner, _ENSEMBLE, index, dict(context)),
+        open_scope(depth, _ENSEMBLE, index, context),
+        data_record(ensemble.samples, _AUDIO, inner, _ENSEMBLE, index, context),
     ]
     records.extend(
-        data_record(pattern, Subtype.FEATURES.value, inner, _ENSEMBLE, sequence, dict(context))
+        data_record(pattern, _FEATURES, inner, _ENSEMBLE, sequence, context)
         for sequence, pattern in enumerate(event.patterns)
     )
     if isinstance(event, ClassifiedEvent):
         verdict = {**context, "label": event.label, "votes": dict(event.votes)}
-        records.append(
-            data_record(np.zeros(0), Subtype.LABEL.value, inner, _ENSEMBLE, index, verdict)
-        )
+        records.append(data_record(_NO_SAMPLES, _LABEL, inner, _ENSEMBLE, index, verdict))
     records.append(close_scope(depth, _ENSEMBLE, index))
     return records
 
@@ -228,11 +237,12 @@ class ScopeDecoder:
         self._opener = None
 
     def feed(self, record: Record) -> list[PipelineEvent]:
-        if record.is_data:
+        kind = record.record_type
+        if kind is RecordType.DATA:
             return self._data(record) if self._opener is not None else []
         if record.scope_type != _ENSEMBLE:
             return []
-        if record.is_open:
+        if kind is RecordType.OPEN_SCOPE:
             self._opener = opener = record.context
             self._start = int(opener.get("start", 0))
             self.rate = int(opener.get("sample_rate", self.default_rate or 22050))
@@ -243,23 +253,25 @@ class ScopeDecoder:
             self._verdict: dict | None = None
             if self._streaming:
                 return [EnsembleFragmentEvent("open", self._start, self.rate)]
-        elif record.is_close and self._opener is not None:
+        elif self._opener is not None and (
+            kind is RecordType.CLOSE_SCOPE or kind is RecordType.BAD_CLOSE_SCOPE
+        ):
             opener, self._opener = self._opener, None
-            if not record.is_bad_close:
+            if kind is RecordType.CLOSE_SCOPE:
                 return self._close(opener, record.context)
         return []
 
     def _data(self, record: Record) -> list[PipelineEvent]:
         subtype = record.subtype
-        if subtype == Subtype.LABEL.value:
+        if subtype == _LABEL:
             self._verdict = record.context
             return []
         payload = np.asarray(record.payload, dtype=float).ravel()
-        if subtype == Subtype.FEATURES.value:
+        if subtype == _FEATURES:
             if self._streaming:
                 return [FeaturesEvent(None, (payload,))]
             self._patterns.append(payload)
-        elif subtype == Subtype.AUDIO.value or subtype == Subtype.FRAGMENT.value:
+        elif subtype == _AUDIO or subtype == _FRAGMENT:
             if not self._streaming:
                 self._parts.append(payload)
                 return []
@@ -423,7 +435,7 @@ class ExtractStageOperator(_StageOperator):
         outputs = self._boundary(record)
         if outputs is not None:
             return outputs
-        if not (record.is_data and record.subtype == Subtype.AUDIO.value):
+        if not (record.is_data and record.subtype == _AUDIO):
             return [record]
         if self._clip is None:
             self._begin(self.stage.sample_rate)
@@ -456,7 +468,8 @@ class EnsembleStageOperator(_StageOperator):
     chain of replicas behaves like k parallel operators in a linear stream.
 
     A scope is consumed whole — decoded at its close, the stage's output
-    re-encoded in its place — unless it is fragmented and the wrapped stage
+    re-encoded in its place, every buffered scope of a batch in one stage
+    call (:meth:`process_many`) — unless it is fragmented and the wrapped stage
     consumes fragments (:attr:`~repro.pipeline.stages.Stage.consumes_fragments`):
     then the operator *pumps*, forwarding every record of the open scope and
     appending each pattern the stage completes from a slice the moment it
@@ -484,15 +497,37 @@ class EnsembleStageOperator(_StageOperator):
         self._pumping = False
         self._appended = 0
         self._consumed = False
+        #: What the batch holds back, in stream order: ready outputs, and
+        #: ``(opener, events)`` for each buffered scope whose terminal events
+        #: wait for the stage (see :meth:`process_many`).
+        self._pending: list[list[Record] | tuple[Record, list[PipelineEvent]]] = []
 
     def _encode(self, events: list[PipelineEvent]) -> list[Record]:
         return _ensemble_records(events, self._depth, 0)
 
     def process(self, record: Record) -> list[Record]:
+        return list(self.process_many((record,)))
+
+    def process_many(self, records: Iterable[Record]) -> Iterator[Record]:
+        """Consume a batch of records, handing the stage the terminal events
+        of every buffered scope among them in one
+        :meth:`~repro.pipeline.stages.Stage.process_each` call.
+
+        A buffered scope's event is deferred at its close, and so is every
+        output behind it; the deferred run goes to the stage at the next
+        record that needs the stage in sync — a clip scope record, END, a
+        record of a pumped scope — or at the end of the batch.  Each
+        scope's outputs are then spliced back in its place, so the batch
+        yields exactly what :meth:`process` per record would."""
+        for record in records:
+            yield from self._consume(record)
+        yield from self._settle()
+
+    def _consume(self, record: Record) -> list[Record]:
+        """One record of a batch: the outputs now ready, in stream order."""
         if self._opener is None:
-            outputs = self._boundary(record)
-            if outputs is not None:
-                return outputs
+            if record.is_end or (record.scope_type == _CLIP and not record.is_data):
+                return self._settle() + self._boundary(record)
             if not (record.is_open and record.scope_type == _ENSEMBLE) or (
                 self.replica is not None
                 and record.context.get(ROUTING_REPLICA) != self.replica
@@ -500,7 +535,7 @@ class EnsembleStageOperator(_StageOperator):
                 # Outside every ensemble scope, or inside one addressed to a
                 # sibling replica (or already transformed by one): its inner
                 # records follow while no scope is ours, so they pass too.
-                return [record]
+                return self._hold([record])
             self._opener = record
             self._appended = 0
             self._consumed = False
@@ -513,12 +548,39 @@ class EnsembleStageOperator(_StageOperator):
         elif record.is_close and record.scope_type == _ENSEMBLE:
             self._opener = None
         if self._pumping:
-            return self._pump(record, events, opener.scope)
+            return self._settle() + self._pump(record, events, opener.scope)
+        if events:  # the scope's one terminal event, at its clean close
+            self._pending.append((opener, events))
+        return []
+
+    def _hold(self, outputs: list[Record]) -> list[Record]:
+        """``outputs`` now, or queued behind a deferred scope."""
+        if self._pending:
+            self._pending.append(outputs)
+            return []
+        return outputs
+
+    def _settle(self) -> list[Record]:
+        """Run the deferred scopes' events through the stage in one call and
+        return every held output, each scope's re-encoded in its place."""
+        if not self._pending:
+            return []
+        pending, self._pending = self._pending, []
+        scopes = [entry for entry in pending if type(entry) is tuple]
+        made = iter(self.stage.process_each([event for _, events in scopes for event in events]))
         outputs: list[Record] = []
-        for event in events:  # the scope's one terminal event, at its clean close
-            made = self.stage.process(event)
-            outputs.extend(_ensemble_records(made, opener.scope, opener.sequence))
-        return self._preserve_routing(opener, outputs) if outputs else outputs
+        for entry in pending:
+            if type(entry) is not tuple:
+                outputs.extend(entry)
+                continue
+            opener, events = entry
+            encoded = [
+                record
+                for _ in events
+                for record in _ensemble_records(next(made), opener.scope, opener.sequence)
+            ]
+            outputs.extend(self._preserve_routing(opener, encoded))
+        return outputs
 
     def _pump(self, record: Record, events: list[PipelineEvent], depth: int) -> list[Record]:
         """Forward one record of a pumped scope, show the stage the events
@@ -561,6 +623,7 @@ class EnsembleStageOperator(_StageOperator):
     def reset(self) -> None:
         super().reset()
         self._opener = None
+        self._pending = []
         self._decoder.reset()
 
 
@@ -605,12 +668,12 @@ class EnsemblePartitionOperator(Operator):
         return replica
 
     def process(self, record: Record) -> list[Record]:
-        if record.is_open and record.scope_type == ScopeType.CLIP.value:
+        if record.is_open and record.scope_type == _CLIP:
             self._station = record.context.get("station_id")
             return [record]
         if (
             record.is_open
-            and record.scope_type == ScopeType.ENSEMBLE.value
+            and record.scope_type == _ENSEMBLE
             and ROUTING_REPLICA not in record.context
         ):
             record.context = {
@@ -677,7 +740,7 @@ class EnsembleMergeOperator(Operator):
     def process(self, record: Record) -> list[Record]:
         if self._buffer is not None:
             self._buffer.append(self._strip(record))
-            if record.is_close and record.scope_type == ScopeType.ENSEMBLE.value:
+            if record.is_close and record.scope_type == _ENSEMBLE:
                 scope, ordinal = self._buffer, self._ordinal_of_current
                 self._buffer = None
                 # extend, never assign: a stage may emit several scopes per
@@ -687,13 +750,13 @@ class EnsembleMergeOperator(Operator):
             return []
         if (
             record.is_open
-            and record.scope_type == ScopeType.ENSEMBLE.value
+            and record.scope_type == _ENSEMBLE
             and ROUTING_ORDINAL in record.context
         ):
             self._ordinal_of_current = int(record.context[ROUTING_ORDINAL])
             self._buffer = [self._strip(record)]
             return []
-        if record.is_close and record.scope_type == ScopeType.CLIP.value:
+        if record.is_close and record.scope_type == _CLIP:
             return self._release_all() + [record]
         if record.is_end:
             return self._release_all() + [record]
@@ -861,7 +924,7 @@ def collect_result(records: Sequence[Record], sample_rate: int | None = None) ->
     decoder = ScopeDecoder(default_rate=rate or None)
     events: list[PipelineEvent] = []
     for record in records:
-        if record.scope_type == ScopeType.CLIP.value and not record.is_data:
+        if record.scope_type == _CLIP and not record.is_data:
             if record.is_open and not rate:
                 rate = int(record.context.get("sample_rate") or 0)
                 decoder.default_rate = rate or None

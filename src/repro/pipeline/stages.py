@@ -4,10 +4,11 @@ A *stage* is a stateful event transformer with a tiny lifecycle:
 
 * ``start(sample_rate)`` — called once per run before any event;
 * ``process(event)`` — map one event to zero or more output events;
-* ``process_events(events)`` — optional: map a batch of events at once.
-  The default loops :meth:`Stage.process`; a stage overrides it to share
-  one vectorised call across the batch, and must then return exactly what
-  that loop would, in event order;
+* ``process_each(events)`` — optional: map a batch of events at once, one
+  output list per event.  The default calls :meth:`Stage.process` on each
+  in turn; a stage overrides it to share one vectorised call across the
+  batch, and must then return exactly what that loop would;
+  ``process_events(events)`` is the same batch flattened, in event order;
 * ``flush()`` — emit whatever is still buffered at end of stream;
 * ``reset()`` — drop all carried state so the stage can be reused.
 
@@ -80,14 +81,15 @@ class Stage:
         """Transform one event; unknown events must be forwarded unchanged."""
         raise NotImplementedError
 
+    def process_each(self, events: list[PipelineEvent]) -> list[list[PipelineEvent]]:
+        """Transform a batch of events, one output list per event: by
+        default, :meth:`process` on each in turn.  An override must return
+        exactly what that loop would."""
+        return [self.process(event) for event in events]
+
     def process_events(self, events: list[PipelineEvent]) -> list[PipelineEvent]:
-        """Transform a batch of events: by default, :meth:`process` on each
-        in turn.  An override must return the same events in the same
-        order."""
-        outputs: list[PipelineEvent] = []
-        for event in events:
-            outputs.extend(self.process(event))
-        return outputs
+        """Transform a batch of events: :meth:`process_each`, flattened."""
+        return [output for outputs in self.process_each(events) for output in outputs]
 
     def flush(self) -> list[PipelineEvent]:
         """Emit buffered events at end of stream (default: nothing)."""
@@ -414,9 +416,9 @@ class FeatureStage(Stage):
         return self.extractor.patterns_from_samples(samples)
 
     def process(self, event: PipelineEvent) -> list[PipelineEvent]:
-        return self.process_events([event])
+        return self.process_each([event])[0]
 
-    def process_events(self, events: list[PipelineEvent]) -> list[PipelineEvent]:
+    def process_each(self, events: list[PipelineEvent]) -> list[list[PipelineEvent]]:
         """Fragments step the incremental builder one by one; the patterns
         of every whole ensemble of the batch come from one
         :meth:`~repro.classify.PatternExtractor.patterns_from_many` call."""
@@ -500,9 +502,9 @@ class ClassifyStage(Stage):
     _BLOCK_PATTERNS = 4096
 
     def process(self, event: PipelineEvent) -> list[PipelineEvent]:
-        return self.process_events([event])
+        return self.process_each([event])[0]
 
-    def process_events(self, events: list[PipelineEvent]) -> list[PipelineEvent]:
+    def process_each(self, events: list[PipelineEvent]) -> list[list[PipelineEvent]]:
         """Every whole-ensemble :class:`FeaturesEvent` of the batch is voted
         from one prediction call over all their patterns.  A partial
         per-pattern event of a still-open ensemble (``ensemble is None``)
@@ -543,10 +545,10 @@ def _splice(
     batched: Callable[[PipelineEvent], bool],
     transform: Callable[[list], list[PipelineEvent]],
     single: Callable[[PipelineEvent], list[PipelineEvent]],
-) -> list[PipelineEvent]:
-    """``events`` mapped in order: the events ``batched`` selects go through
-    one ``transform`` call (one output event each), every other event
-    through ``single`` (zero or more outputs each)."""
+) -> list[list[PipelineEvent]]:
+    """``events`` mapped in order, one output list per event: the events
+    ``batched`` selects go through one ``transform`` call (one output event
+    each), every other event through ``single`` (zero or more outputs)."""
     slots: list[list[PipelineEvent] | None] = []
     chosen: list[PipelineEvent] = []
     for event in events:
@@ -556,10 +558,4 @@ def _splice(
         else:
             slots.append(single(event))
     made = iter(transform(chosen) if chosen else ())
-    outputs: list[PipelineEvent] = []
-    for slot in slots:
-        if slot is None:
-            outputs.append(next(made))
-        else:
-            outputs.extend(slot)
-    return outputs
+    return [[next(made)] if slot is None else slot for slot in slots]

@@ -2,11 +2,20 @@
 
 A Dynamic River *operator* consumes records and emits zero or more records.
 Operators are synchronous and push-based: the enclosing pipeline or segment
-calls :meth:`Operator.process` for every record and :meth:`Operator.flush`
-when the stream ends, and forwards whatever the operator returns downstream.
-Keeping operators free of threads makes the engine deterministic and easy to
-test; concurrency lives at the segment / host level (see
-:mod:`repro.river.placement`).
+hands every operator its input as one batch through
+:meth:`Operator.process_many` and calls :meth:`Operator.flush` when the
+stream ends, forwarding whatever the operator yields downstream.  A batch is
+an iterable consumed lazily — a segment step pulls a record off its input
+channel only when the first operator asks for the next one, and never more
+than the step's allowance — and the default :meth:`~Operator.process_many`
+calls :meth:`Operator.process` on each record and yields its outputs before
+asking for the next.  A chain of such operators therefore still moves one
+record at a time; an operator that overrides ``process_many`` to share work
+across records (the ensemble stage operators) may hold outputs until the
+batch ends, and must yield exactly what ``process`` per record would have,
+in the same order.  Keeping operators free of threads makes the engine
+deterministic and easy to test; concurrency lives at the segment / host
+level (see :mod:`repro.river.placement`).
 """
 
 from __future__ import annotations
@@ -33,6 +42,15 @@ class Operator:
         """Consume one record and return the records to emit downstream."""
         raise NotImplementedError
 
+    def process_many(self, records: Iterable[Record]) -> Iterator[Record]:
+        """Consume a batch of records, yielding what to emit downstream.
+
+        The default pushes each record through :meth:`process` and yields
+        its outputs before drawing the next record from ``records``.
+        """
+        for record in records:
+            yield from self.process(record)
+
     def flush(self) -> list[Record]:
         """Emit any buffered records at end of stream (default: nothing)."""
         return []
@@ -44,11 +62,15 @@ class Operator:
 
     # -- bookkeeping wrapper used by pipelines --------------------------------
 
-    def _invoke(self, record: Record) -> list[Record]:
-        self.records_in += 1
-        outputs = self.process(record)
-        self.records_out += len(outputs)
-        return outputs
+    def _invoke_many(self, records: Iterable[Record]) -> Iterator[Record]:
+        for output in self.process_many(self._counted(records)):
+            self.records_out += 1
+            yield output
+
+    def _counted(self, records: Iterable[Record]) -> Iterator[Record]:
+        for record in records:
+            self.records_in += 1
+            yield record
 
     def _invoke_flush(self) -> list[Record]:
         outputs = self.flush()

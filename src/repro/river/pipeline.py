@@ -47,33 +47,34 @@ class Pipeline:
 
     # -- execution -----------------------------------------------------------
 
+    def process_records(self, records: Iterable[Record]) -> Iterator[Record]:
+        """Push a batch of records through every operator in order.
+
+        The one push path: each operator consumes the previous one's output
+        stream (:meth:`~repro.river.operator_base.Operator.process_many`),
+        and ``records`` is drawn lazily, so a chain of per-record operators
+        yields a record's outputs before it draws the next record.
+        """
+        stream = iter(records)
+        for op in self.operators:
+            stream = op._invoke_many(stream)
+        return stream
+
     def process_record(self, record: Record) -> list[Record]:
         """Push one record through every operator in order."""
-        batch = [record]
-        for op in self.operators:
-            next_batch: list[Record] = []
-            for item in batch:
-                next_batch.extend(op._invoke(item))
-            batch = next_batch
-            if not batch:
-                break
-        return batch
+        return list(self.process_records((record,)))
 
     def flush(self) -> list[Record]:
         """Flush every operator in order, cascading flushed records downstream.
 
         Single downstream pass: records flushed by (or cascaded into)
-        operator *i* are handed to operator *i + 1* exactly once, so the
-        cost is linear in pipeline depth × record volume and no stateful
-        operator sees a record twice.
+        operator *i* are handed to operator *i + 1* exactly once, as one
+        batch, so the cost is linear in pipeline depth × record volume and no
+        stateful operator sees a record twice.
         """
         batch: list[Record] = []
         for op in self.operators:
-            cascaded: list[Record] = []
-            for record in batch:
-                cascaded.extend(op._invoke(record))
-            cascaded.extend(op._invoke_flush())
-            batch = cascaded
+            batch = [*op._invoke_many(batch), *op._invoke_flush()]
         return batch
 
     def run(self, records: Iterable[Record]) -> list[Record]:
@@ -142,7 +143,7 @@ class PipelineSegment:
 
     # -- helpers -------------------------------------------------------------
 
-    def _emit(self, records: list[Record]) -> None:
+    def _emit(self, records: Iterable[Record]) -> None:
         for record in records:
             self.scope_stack.observe(record)
             self._outbox.append(record)
@@ -205,9 +206,17 @@ class PipelineSegment:
     def step(self, max_records: int = 1) -> int:
         """Process up to ``max_records`` input records; returns how many were handled.
 
-        A segment whose bounded output channel filled up first retries its
-        held-back records; until they fit, no new input is consumed (and a
-        finished segment keeps draining its tail this way).
+        The step pushes its input through the pipeline as one batch
+        (:meth:`Pipeline.process_records`), drawn from the input channel
+        only as the operators ask for it and never more than
+        ``max_records`` records — the bound on what a batching operator
+        holds.  Outputs are emitted as the pipeline yields them, so a
+        segment of per-record operators still emits each record's outputs
+        before it pulls the next.  Backpressure: a segment whose bounded
+        output channel filled up first retries its held-back records; until
+        they fit, no new input is consumed, and once outputs back up mid-step
+        the batch stops drawing input (a finished segment keeps draining its
+        tail this way).
         """
         if not self._drain_outbox():
             return 0
@@ -215,26 +224,15 @@ class PipelineSegment:
             return 0
         if self.input_channel is None:
             raise ValueError(f"segment {self.name!r} has no input channel to pull from")
-        handled = 0
-        for _ in range(max_records):
-            if self._outbox:
-                # Output backlogged mid-step: stop pulling input.
-                break
-            try:
-                record = self.input_channel.get()
-            except ChannelClosed:
-                # Upstream died: repair scopes and end our own stream cleanly.
-                self.abort("upstream channel closed")
-                break
-            if record is None:
-                break
-            handled += 1
-            self.records_processed += 1
-            if record.record_type is RecordType.END_OF_STREAM:
-                self._finish()
-                break
-            self._emit(self.pipeline.process_record(record))
-        return handled
+        pulled = _Pull(self, max_records)
+        for output in self.pipeline.process_records(pulled):
+            self._emit((output,))
+        if pulled.closed:
+            # Upstream died: repair scopes and end our own stream cleanly.
+            self.abort("upstream channel closed")
+        elif pulled.ended:
+            self._finish()
+        return pulled.handled
 
     def abort(self, reason: str) -> None:
         """Terminate the segment, closing open scopes with BadCloseScope records."""
@@ -278,6 +276,38 @@ class PipelineSegment:
             except ChannelClosed:
                 return
             if record is None:
+                return
+            yield record
+
+
+class _Pull:
+    """A segment step's input batch: records drawn off the input channel one
+    at a time as the pipeline asks for them — at most ``limit``, none once
+    the segment's outbox backs up, and none past END_OF_STREAM or a closed
+    upstream, which end the batch and are left to the segment."""
+
+    def __init__(self, segment: PipelineSegment, limit: int) -> None:
+        self.segment = segment
+        self.limit = limit
+        self.handled = 0
+        self.ended = False
+        self.closed = False
+
+    def __iter__(self) -> Iterator[Record]:
+        segment = self.segment
+        channel = segment.input_channel
+        while self.handled < self.limit and not segment._outbox:
+            try:
+                record = channel.get()
+            except ChannelClosed:
+                self.closed = True
+                return
+            if record is None:
+                return
+            self.handled += 1
+            segment.records_processed += 1
+            if record.record_type is RecordType.END_OF_STREAM:
+                self.ended = True
                 return
             yield record
 

@@ -153,15 +153,7 @@ def data_record(
     context: dict[str, Any] | None = None,
 ) -> Record:
     """Convenience constructor for a data record."""
-    return Record(
-        record_type=RecordType.DATA,
-        subtype=subtype,
-        scope=scope,
-        scope_type=scope_type,
-        sequence=sequence,
-        payload=np.asarray(payload),
-        context=context or {},
-    )
+    return Record(RecordType.DATA, subtype, scope, scope_type, sequence, payload, context or {})
 
 
 def fragment_record(

@@ -97,6 +97,12 @@ DEFAULT_MAX_FRAME_BYTES = 256 * 1024 * 1024
 #: Consumed-prefix length above which the decoder compacts its buffer.
 _COMPACT_BYTES = 1 << 16
 
+#: The header codec, built once: ``json.dumps`` with non-default separators
+#: builds an encoder per call.  The encoder writes no whitespace, so the
+#: decoder reads one JSON value spanning the whole header.
+_JSON_ENCODER = json.JSONEncoder(separators=(",", ":"))
+_JSON_DECODER = json.JSONDecoder()
+
 
 def _payload_view(payload: np.ndarray) -> memoryview:
     """A flat byte view over a C-contiguous array, copy-free where possible."""
@@ -124,7 +130,7 @@ def _encode_record(record: Record) -> tuple[bytes, memoryview | None]:
         header["shape"] = list(payload.shape)
         body = _payload_view(payload)
     try:
-        header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
+        header_bytes = _JSON_ENCODER.encode(header).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise SerializationError(f"record context is not JSON-serialisable: {exc}") from exc
     return _PREFIX.pack(MAGIC, VERSION, len(header_bytes)) + header_bytes, body
@@ -174,6 +180,50 @@ def _payload_layout(header: dict) -> tuple[np.dtype, tuple[int, ...]]:
     )
 
 
+#: Wire name -> record type (a dict lookup, not an enum call per record).
+_RECORD_TYPES = {record_type.value: record_type for record_type in RecordType}
+
+
+def _header_fields(header) -> tuple:
+    """The record fields a decoded header names: the header refused with a
+    :class:`SerializationError` unless it is a JSON object, and each field
+    unless it has the type a record holds."""
+    if type(header) is not dict:
+        raise SerializationError(
+            f"corrupt record header: {type(header).__name__} {header!r:.40} is not an object"
+        )
+    name = header.get("record_type")
+    record_type = _RECORD_TYPES.get(name) if type(name) is str else None
+    subtype = header.get("subtype", "generic")
+    scope = header.get("scope", 0)
+    scope_type = header.get("scope_type", "scope_generic")
+    sequence = header.get("sequence", 0)
+    context = header.get("context", {})
+    if (
+        record_type is not None
+        and type(subtype) is str
+        and type(scope) is int
+        and scope >= 0
+        and type(scope_type) is str
+        and type(sequence) is int
+        and sequence >= 0
+        and type(context) is dict
+    ):
+        return record_type, subtype, scope, scope_type, sequence, context
+    # Something is off: name the first field that is.
+    if record_type is None:
+        raise SerializationError(f"unknown record type in header: {name!r}")
+    for field, value in (("subtype", subtype), ("scope_type", scope_type)):
+        if type(value) is not str:
+            raise SerializationError(f"corrupt record header: {field} {value!r} is not a string")
+    for field, value in (("scope", scope), ("sequence", sequence)):
+        if type(value) is not int or value < 0:
+            raise SerializationError(
+                f"corrupt record header: {field} {value!r} is not a non-negative int"
+            )
+    raise SerializationError(f"corrupt record header: context {context!r} is not an object")
+
+
 def unpack_record(blob, offset: int = 0) -> tuple[Record, int]:
     """Deserialise one record from ``blob`` at ``offset``.
 
@@ -200,9 +250,15 @@ def unpack_record(blob, offset: int = 0) -> tuple[Record, int]:
         if total < header_end:
             raise SerializationError("truncated record: missing header")
         try:
-            header = json.loads(bytes(view[header_start:header_end]).decode("utf-8"))
+            text = bytes(view[header_start:header_end]).decode("utf-8")
+            header, end = _JSON_DECODER.raw_decode(text)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise SerializationError(f"corrupt record header: {exc}") from exc
+        if end != len(text):
+            raise SerializationError(
+                f"corrupt record header: extra data after the JSON value at {end}"
+            )
+        record_type, subtype, scope, scope_type, sequence, context = _header_fields(header)
 
         payload = None
         consumed = header_end - offset
@@ -220,19 +276,7 @@ def unpack_record(blob, offset: int = 0) -> tuple[Record, int]:
                 .copy()
             )
             consumed = header_end + body_len - offset
-        try:
-            record_type = RecordType(header["record_type"])
-        except (KeyError, ValueError) as exc:
-            raise SerializationError(f"unknown record type in header: {exc}") from exc
-        record = Record(
-            record_type=record_type,
-            subtype=header.get("subtype", "generic"),
-            scope=int(header.get("scope", 0)),
-            scope_type=header.get("scope_type", "scope_generic"),
-            sequence=int(header.get("sequence", 0)),
-            payload=payload,
-            context=header.get("context", {}),
-        )
+        record = Record(record_type, subtype, scope, scope_type, sequence, payload, context)
         return record, consumed
     finally:
         # Release our export before the caller mutates the underlying buffer

@@ -215,6 +215,12 @@ class StoreWriterStage(Stage):
         featured = isinstance(event, (FeaturesEvent, ClassifiedEvent))
         n_patterns = len(patterns) if featured else -1
         session = self._session
+        if session is not None and session["start"] != int(ensemble.start):
+            # Another scope's event: the fragmented scope was cut short
+            # upstream (bad-closed, so no close reached us) — left unsealed,
+            # ordinal skipped, as the next open would do.
+            self._session = session = None
+            self._ordinal += 1
         if session is not None:
             # Fragment mode with a reassembling feature stage: the streamed
             # rows are already written, so top up what the terminal event
