@@ -55,7 +55,6 @@ from .core import (
     cut_ensembles,
     measure_reduction,
     sax_anomaly_scores,
-    trigger_signal,
 )
 from .classify import (
     ConfusionMatrix,
@@ -93,7 +92,7 @@ from .synth import (
     get_species,
 )
 
-__version__ = "7.2.0"
+__version__ = "8.0.0"
 
 __all__ = [
     "AcousticClip",
@@ -140,6 +139,5 @@ __all__ = [
     "measure_reduction",
     "resubstitution",
     "sax_anomaly_scores",
-    "trigger_signal",
     "__version__",
 ]

@@ -1,6 +1,5 @@
-"""Baselines from related work: energy segmentation and k-NN classification."""
+"""Baseline from related work: energy-threshold segmentation."""
 
-from .knn import KnnClassifier
 from .threshold import EnergySegmenter
 
-__all__ = ["EnergySegmenter", "KnnClassifier"]
+__all__ = ["EnergySegmenter"]

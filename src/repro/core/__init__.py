@@ -7,7 +7,7 @@ ensembles; with ``normalization="global"`` it chains these three in order.
 from .anomaly import sax_anomaly_scores
 from .cutter import Ensemble, cut_ensembles
 from .reduction import ReductionReport, measure_reduction
-from .trigger import AdaptiveTrigger, trigger_signal
+from .trigger import AdaptiveTrigger
 
 __all__ = [
     "AdaptiveTrigger",
@@ -16,5 +16,4 @@ __all__ = [
     "cut_ensembles",
     "measure_reduction",
     "sax_anomaly_scores",
-    "trigger_signal",
 ]

@@ -23,7 +23,7 @@ import numpy as np
 from ..config import TriggerConfig
 from ..timeseries.windows import RunningStats
 
-__all__ = ["AdaptiveTrigger", "trigger_signal"]
+__all__ = ["AdaptiveTrigger"]
 
 #: Scores converted to Python floats per pass of the scalar kernel, so the
 #: transient list stays small however long the chunk is.
@@ -165,9 +165,3 @@ class AdaptiveTrigger:
     def reset(self) -> None:
         """Forget the baseline and return to the low state."""
         self.__post_init__()
-
-
-def trigger_signal(scores: np.ndarray, config: TriggerConfig | None = None) -> np.ndarray:
-    """Convenience wrapper: run a fresh :class:`AdaptiveTrigger` over ``scores``."""
-    trig = AdaptiveTrigger(config or TriggerConfig())
-    return trig.apply(scores)

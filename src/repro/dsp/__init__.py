@@ -3,17 +3,14 @@
 from .dft import (
     bin_frequencies,
     complex_magnitude,
-    cutout_band,
     dft,
     dft_records,
-    float_to_complex,
     frequency_band_indices,
     power_spectra,
     power_spectrum,
 )
 from .oscillogram import Oscillogram, envelope, oscillogram
-from .resample import decimate, resample_linear
-from .spectrogram import Spectrogram, log_magnitude, paa_spectrogram, spectrogram
+from .spectrogram import Spectrogram, paa_spectrogram, spectrogram
 from .wav import WavClip, pcm16_to_samples, read_wav, samples_to_pcm16, write_wav
 from .window_functions import (
     apply_window,
@@ -31,17 +28,13 @@ __all__ = [
     "apply_window",
     "bin_frequencies",
     "complex_magnitude",
-    "cutout_band",
-    "decimate",
     "dft",
     "dft_records",
     "envelope",
-    "float_to_complex",
     "frequency_band_indices",
     "get_window",
     "hamming_window",
     "hann_window",
-    "log_magnitude",
     "oscillogram",
     "paa_spectrogram",
     "pcm16_to_samples",
@@ -49,7 +42,6 @@ __all__ = [
     "power_spectrum",
     "read_wav",
     "rectangular_window",
-    "resample_linear",
     "samples_to_pcm16",
     "spectrogram",
     "welch_window",

@@ -1,9 +1,10 @@
 """Discrete Fourier transform helpers.
 
 Mirrors the ``float2cplx`` / ``dft`` / ``cabs`` pipeline segment of the
-paper: records are converted to complex form, transformed, and reduced to
-their complex magnitude (power spectrum).  Frequency cut-out selects the
-[1.2 kHz, 9.6 kHz] band that carries most bird-song energy.
+paper: real records are transformed and reduced to their complex magnitude
+(power spectrum).  :func:`frequency_band_indices` selects the bins of the
+[1.2 kHz, 9.6 kHz] band that carries most bird-song energy (the ``cutout``
+step, applied by :class:`~repro.classify.features.PatternExtractor`).
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "float_to_complex",
     "dft",
     "dft_records",
     "complex_magnitude",
@@ -19,14 +19,7 @@ __all__ = [
     "power_spectra",
     "bin_frequencies",
     "frequency_band_indices",
-    "cutout_band",
 ]
-
-
-def float_to_complex(values: np.ndarray) -> np.ndarray:
-    """Convert real samples to complex numbers with zero imaginary part."""
-    arr = np.asarray(values, dtype=float)
-    return arr.astype(np.complex128)
 
 
 def dft(values: np.ndarray) -> np.ndarray:
@@ -123,29 +116,3 @@ def frequency_band_indices(
         raise ValueError(f"low_hz ({low_hz}) must not exceed high_hz ({high_hz})")
     freqs = bin_frequencies(record_length, sample_rate)
     return np.nonzero((freqs >= low_hz) & (freqs <= high_hz))[0]
-
-
-def cutout_band(
-    spectrum: np.ndarray,
-    record_length: int,
-    sample_rate: float,
-    low_hz: float = 1200.0,
-    high_hz: float = 9600.0,
-) -> np.ndarray:
-    """Keep only the spectrum bins inside [low_hz, high_hz] (the ``cutout`` operator).
-
-    The paper discards data outside ≈[1.2 kHz, 9.6 kHz]: bins below carry wind
-    and anthropogenic noise, bins above carry little bird-song energy.
-    """
-    arr = np.asarray(spectrum, dtype=float)
-    indices = frequency_band_indices(record_length, sample_rate, low_hz, high_hz)
-    if arr.size != (record_length // 2 + 1):
-        # Reject both directions: a too-small spectrum cannot be sliced at
-        # all, and an oversized one (e.g. a full FFT that still carries the
-        # negative-frequency half) would be silently mis-sliced — the band
-        # indices assume exactly the non-negative bins of `record_length`.
-        raise ValueError(
-            f"spectrum has {arr.size} bins but a length-{record_length} record produces "
-            f"{record_length // 2 + 1}"
-        )
-    return arr[indices]

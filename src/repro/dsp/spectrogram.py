@@ -16,7 +16,7 @@ from ..timeseries.paa import paa, paa_records
 from .dft import bin_frequencies, complex_magnitude, dft_records
 from .window_functions import get_window
 
-__all__ = ["Spectrogram", "spectrogram", "paa_spectrogram", "log_magnitude"]
+__all__ = ["Spectrogram", "spectrogram", "paa_spectrogram"]
 
 
 @dataclass(frozen=True)
@@ -130,17 +130,3 @@ def paa_spectrogram(spec: Spectrogram, segments: int) -> Spectrogram:
         times=spec.times.copy(),
         sample_rate=spec.sample_rate,
     )
-
-
-def log_magnitude(spec: Spectrogram, floor_db: float = -80.0) -> np.ndarray:
-    """Return the spectrogram in decibels relative to its peak, floored.
-
-    Matches how spectrograms are usually shaded for display; used by the
-    figure-regeneration experiments to emit plottable series.
-    """
-    mags = np.asarray(spec.magnitudes, dtype=float)
-    peak = mags.max() if mags.size else 0.0
-    if peak <= 0:
-        return np.full_like(mags, floor_db)
-    db = 20.0 * np.log10(np.maximum(mags / peak, 10 ** (floor_db / 20.0)))
-    return db

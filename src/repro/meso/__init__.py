@@ -1,7 +1,7 @@
 """MESO perceptual memory: sensitivity spheres, sphere tree and classifier."""
 
 from .classifier import MesoClassifier, MesoConfig, TrainingStats
-from .distance import METRICS, get_metric
+from .distance import METRICS
 from .sphere import SensitivitySphere
 from .tree import SphereTree, SphereTreeNode
 
@@ -13,5 +13,4 @@ __all__ = [
     "SphereTree",
     "SphereTreeNode",
     "TrainingStats",
-    "get_metric",
 ]

@@ -1,8 +1,8 @@
 """Distance metrics available to MESO.
 
 MESO clusters patterns with a pluggable metric; Euclidean distance is the
-default used in the paper's experiments.  Metrics are registered by name so
-the classifier can be configured from plain strings in experiment configs.
+default used in the paper's experiments.  :data:`METRICS` maps each metric's
+name to its function.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 
 from ..timeseries.distance import euclidean, manhattan, normalized_euclidean
 
-__all__ = ["get_metric", "METRICS"]
+__all__ = ["METRICS"]
 
 MetricFn = Callable[[np.ndarray, np.ndarray], float]
 
@@ -22,11 +22,3 @@ METRICS: dict[str, MetricFn] = {
     "manhattan": manhattan,
     "normalized_euclidean": normalized_euclidean,
 }
-
-
-def get_metric(name: str) -> MetricFn:
-    """Look up a metric function by name."""
-    key = name.lower()
-    if key not in METRICS:
-        raise ValueError(f"unknown metric '{name}'; choose from {sorted(METRICS)}")
-    return METRICS[key]

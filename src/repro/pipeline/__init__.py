@@ -93,7 +93,6 @@ from .streaming import (
     FragmentData,
     FragmentOpen,
     RunningNormalizer,
-    rechunk,
 )
 
 __all__ = [
@@ -134,7 +133,6 @@ __all__ = [
     "WavDirectorySource",
     "collect_result",
     "deploy_clips_via_river",
-    "rechunk",
     "replica_groups",
     "run_clips_via_river",
 ]

@@ -321,8 +321,9 @@ class _StageOperator(Operator):
     OpenScope (recording ``recording_name(clip_index)``), ``end_run`` at its
     CloseScope with the flushed events encoded inside the clip.  A
     BadCloseScope, or a clip still open at END_OF_STREAM, abandons the run
-    unflushed.  A bare stream is one run ended at END_OF_STREAM over an
-    unknown length, so a store stage leaves its recording incomplete."""
+    unflushed.  Records outside clip scopes are one run, ended at the next
+    clip OpenScope or END_OF_STREAM over an unknown length, so a store stage
+    leaves its recording incomplete."""
 
     def __init__(self, stage: Stage, name: str) -> None:
         super().__init__(name)
@@ -364,8 +365,10 @@ class _StageOperator(Operator):
         if record.scope_type != _CLIP or record.is_data:
             return None
         if record.is_open:
+            outputs = self._finish(None) if self._clip is False else []
             self._begin(int(record.context.get("sample_rate", 0)), record)
-        elif self._clip:
+            return outputs + [record]
+        if self._clip:
             total = int(record.context.get("total_samples", 0))
             return (self._abandon() if record.is_bad_close else self._finish(total)) + [record]
         return [record]

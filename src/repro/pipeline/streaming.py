@@ -19,7 +19,6 @@ chunk recovers batch-path performance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -35,41 +34,7 @@ __all__ = [
     "FragmentOpen",
     "FragmentData",
     "FragmentClose",
-    "rechunk",
 ]
-
-
-def rechunk(chunks: Iterable[np.ndarray], size: int) -> Iterator[np.ndarray]:
-    """Re-slice a chunk stream into fixed-``size`` chunks (tail may be short).
-
-    Buffering is bounded: at most ``size - 1`` carried samples plus the
-    incoming chunk are ever held.  Because the whole engine is
-    chunk-invariant, rechunking never changes any downstream output — it
-    only normalises the granularity at which a source hands data over
-    (useful around sources with their own natural block size, e.g. wrapping
-    ``WavDirectorySource.stream()`` when a consumer wants different chunks
-    than the files were read with).
-    """
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-    carry = np.zeros(0)
-    for chunk in chunks:
-        arr = np.asarray(chunk, dtype=float).ravel()
-        merged = carry.size > 0
-        if merged:
-            arr = np.concatenate([carry, arr])
-        full = (arr.size // size) * size
-        for start in range(0, full, size):
-            piece = arr[start : start + size]
-            # Slices of the internal concatenation buffer are copied so a
-            # consumer that retains a chunk does not pin the whole buffer.
-            yield piece.copy() if merged else piece
-        # Copy the remainder too: carrying a view would keep the entire
-        # buffer it was sliced from alive, silently voiding the size - 1
-        # bound stated above.
-        carry = arr[full:].copy()
-    if carry.size:
-        yield carry
 
 
 @dataclass

@@ -7,7 +7,7 @@ paper's acoustic chain is not hand-wired here: ``AcousticPipeline.to_river()``
 pipeline's own stages into operators for it.
 """
 
-from .channels import ByteChannel, Channel, LinkStats, QueueChannel, SimulatedLinkChannel
+from .channels import ByteChannel, Channel, QueueChannel
 from .errors import (
     ChannelClosed,
     ChannelError,
@@ -72,7 +72,6 @@ __all__ = [
     "FaultInjector",
     "FunctionOperator",
     "Host",
-    "LinkStats",
     "Operator",
     "PassThrough",
     "Pipeline",
@@ -94,7 +93,6 @@ __all__ = [
     "SegmentCrash",
     "SegmentState",
     "SerializationError",
-    "SimulatedLinkChannel",
     "SinkOperator",
     "SocketChannel",
     "SourceOperator",

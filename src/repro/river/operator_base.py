@@ -20,7 +20,6 @@ level (see :mod:`repro.river.placement`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .records import Record, RecordType, end_of_stream
@@ -124,22 +123,6 @@ class PassThrough(Operator):
 
     def process(self, record: Record) -> list[Record]:
         return [record]
-
-
-@dataclass
-class ListSource(SourceOperator):
-    """A source that replays a fixed list of records (appends end-of-stream)."""
-
-    records: list[Record] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        super().__init__("listsource")
-
-    def generate(self) -> Iterator[Record]:
-        for record in self.records:
-            yield record
-        if not self.records or self.records[-1].record_type is not RecordType.END_OF_STREAM:
-            yield end_of_stream()
 
 
 def ensure_end_of_stream(records: Iterable[Record]) -> Iterator[Record]:

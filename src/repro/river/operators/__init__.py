@@ -1,14 +1,10 @@
-"""The Dynamic River operator library."""
+"""The Dynamic River's hand-written operators: the clip feed and a filter.
 
-from .io_ops import ClipSource, ReadOut, WavFileSource
-from .stream_ops import ScopeTypeFilter, SubtypeFilter, Tee, Throttle
+Every analysis operator of the paper's chain comes from
+:func:`repro.pipeline.river_adapter.compile_to_river` instead.
+"""
 
-__all__ = [
-    "ClipSource",
-    "ReadOut",
-    "ScopeTypeFilter",
-    "SubtypeFilter",
-    "Tee",
-    "Throttle",
-    "WavFileSource",
-]
+from .io_ops import ClipSource
+from .stream_ops import SubtypeFilter
+
+__all__ = ["ClipSource", "SubtypeFilter"]

@@ -1,23 +1,15 @@
 """Distance measures used throughout the reproduction.
 
 Euclidean distance is the workhorse (MESO spheres, bitmap anomaly scores,
-nearest-neighbour baselines); the module also provides squared Euclidean,
-Manhattan and normalised-Euclidean variants plus batched helpers that keep
-classifier inner loops vectorised.
+motif and discord search); the module also provides the Manhattan and
+normalised-Euclidean variants listed in :data:`repro.meso.METRICS`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "euclidean",
-    "squared_euclidean",
-    "manhattan",
-    "normalized_euclidean",
-    "pairwise_euclidean",
-    "distances_to_point",
-]
+__all__ = ["euclidean", "manhattan", "normalized_euclidean"]
 
 
 def _as_vectors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -32,12 +24,6 @@ def euclidean(a: np.ndarray, b: np.ndarray) -> float:
     """Euclidean (L2) distance between two vectors."""
     va, vb = _as_vectors(a, b)
     return float(np.sqrt(np.sum((va - vb) ** 2)))
-
-
-def squared_euclidean(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared Euclidean distance (cheaper when only ordering matters)."""
-    va, vb = _as_vectors(a, b)
-    return float(np.sum((va - vb) ** 2))
 
 
 def manhattan(a: np.ndarray, b: np.ndarray) -> float:
@@ -56,38 +42,3 @@ def normalized_euclidean(a: np.ndarray, b: np.ndarray) -> float:
     if va.size == 0:
         return 0.0
     return float(np.sqrt(np.sum((va - vb) ** 2) / va.size))
-
-
-def distances_to_point(points: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Euclidean distance from every row of ``points`` to ``query``.
-
-    ``points`` has shape ``(n, d)``; the result has shape ``(n,)``.
-    """
-    matrix = np.atleast_2d(np.asarray(points, dtype=float))
-    vector = np.asarray(query, dtype=float).ravel()
-    if matrix.shape[1] != vector.size:
-        raise ValueError(
-            f"dimension mismatch: points have {matrix.shape[1]} features, query has {vector.size}"
-        )
-    diff = matrix - vector[None, :]
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-
-
-def pairwise_euclidean(points_a: np.ndarray, points_b: np.ndarray | None = None) -> np.ndarray:
-    """Dense pairwise Euclidean distance matrix.
-
-    ``points_a`` has shape ``(n, d)``; ``points_b`` defaults to ``points_a``.
-    Used by the motif / discord baselines and by tests that cross-check the
-    streaming implementations against brute force.
-    """
-    a = np.atleast_2d(np.asarray(points_a, dtype=float))
-    b = a if points_b is None else np.atleast_2d(np.asarray(points_b, dtype=float))
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: {a.shape[1]} features vs {b.shape[1]} features"
-        )
-    aa = np.sum(a**2, axis=1)[:, None]
-    bb = np.sum(b**2, axis=1)[None, :]
-    squared = aa + bb - 2.0 * (a @ b.T)
-    np.maximum(squared, 0.0, out=squared)
-    return np.sqrt(squared)

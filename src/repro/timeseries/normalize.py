@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["znormalize", "znormalize_safe", "running_mean_std"]
+__all__ = ["znormalize"]
 
 #: Sequences whose standard deviation falls below this value are treated as
 #: constant; normalising them would amplify numerical noise into spurious
@@ -53,40 +53,3 @@ def znormalize(values: np.ndarray, epsilon: float = DEFAULT_EPSILON) -> np.ndarr
     if sigma < epsilon or sigma < 1e-9 * np.max(np.abs(arr)):
         return np.zeros_like(arr)
     return (arr - mu) / sigma
-
-
-def znormalize_safe(values: np.ndarray, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
-    """Z-normalise ``values``, never raising for degenerate input.
-
-    Unlike :func:`znormalize`, empty and multi-dimensional inputs are
-    flattened / passed through rather than rejected.  Intended for streaming
-    operators that must not abort on odd record boundaries.
-    """
-    arr = np.asarray(values, dtype=float).ravel()
-    if arr.size == 0:
-        return arr
-    return znormalize(arr, epsilon=epsilon)
-
-
-def running_mean_std(
-    previous_count: int,
-    previous_mean: float,
-    previous_m2: float,
-    new_value: float,
-) -> tuple[int, float, float]:
-    """One step of Welford's online mean / variance update.
-
-    Used by the adaptive trigger operator to estimate the baseline anomaly
-    score without storing history.
-
-    Returns
-    -------
-    tuple
-        ``(count, mean, m2)`` after incorporating ``new_value``.  The running
-        variance is ``m2 / count`` (population) once ``count`` > 0.
-    """
-    count = previous_count + 1
-    delta = new_value - previous_mean
-    mean = previous_mean + delta / count
-    m2 = previous_m2 + delta * (new_value - mean)
-    return count, mean, m2

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["paa", "paa_records", "paa_by_factor", "inverse_paa", "paa_matrix"]
+__all__ = ["paa", "paa_records", "paa_by_factor", "paa_matrix"]
 
 
 @lru_cache(maxsize=32)
@@ -160,26 +160,6 @@ def paa_by_factor(values: np.ndarray, factor: int) -> np.ndarray:
         raise ValueError("cannot reduce an empty sequence")
     segments = max(1, int(np.ceil(arr.size / factor)))
     return paa(arr, segments)
-
-
-def inverse_paa(reduced: np.ndarray, length: int) -> np.ndarray:
-    """Expand a PAA representation back to ``length`` samples.
-
-    Each segment mean is repeated over the samples it covered.  Used for
-    visual comparison of PAA-smoothed spectrograms against the originals
-    (Figure 3) and in round-trip tests.
-    """
-    arr = np.asarray(reduced, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"inverse_paa expects a 1-D sequence, got shape {arr.shape}")
-    if length < arr.size:
-        raise ValueError(
-            f"target length ({length}) must be >= number of segments ({arr.size})"
-        )
-    if arr.size == 0:
-        return np.zeros(length)
-    indices = np.minimum((np.arange(length) * arr.size) // length, arr.size - 1)
-    return arr[indices]
 
 
 def paa_matrix(matrix: np.ndarray, segments: int, axis: int = 0) -> np.ndarray:

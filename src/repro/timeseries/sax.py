@@ -12,8 +12,6 @@ integers), with 0 denoting the lowest-value band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.stats import norm
 
@@ -24,8 +22,6 @@ __all__ = [
     "gaussian_breakpoints",
     "symbolize",
     "sax_transform",
-    "sax_distance",
-    "SaxEncoder",
 ]
 
 _BREAKPOINT_CACHE: dict[int, np.ndarray] = {}
@@ -88,62 +84,3 @@ def sax_transform(
     if segments is not None and segments != arr.size:
         arr = paa(arr, segments)
     return symbolize(arr, alphabet)
-
-
-def sax_distance(
-    word_a: np.ndarray, word_b: np.ndarray, alphabet: int, original_length: int
-) -> float:
-    """MINDIST between two SAX words of equal length (Lin et al., 2003).
-
-    The symbol-pair distance is zero for adjacent symbols and the breakpoint
-    gap otherwise; the total is scaled by ``sqrt(n / w)`` so that it lower
-    bounds the Euclidean distance between the original sequences.
-    """
-    a = np.asarray(word_a, dtype=np.int64)
-    b = np.asarray(word_b, dtype=np.int64)
-    if a.shape != b.shape:
-        raise ValueError(f"SAX words must have equal length, got {a.shape} and {b.shape}")
-    if a.size == 0:
-        return 0.0
-    breakpoints = gaussian_breakpoints(alphabet)
-    hi = np.maximum(a, b)
-    lo = np.minimum(a, b)
-    adjacent = (hi - lo) <= 1
-    # dist(r, c) = beta_(max-1) - beta_min  when |r - c| > 1, else 0
-    gaps = np.where(adjacent, 0.0, breakpoints[np.maximum(hi - 1, 0)] - breakpoints[np.minimum(lo, alphabet - 2)])
-    return float(np.sqrt(original_length / a.size) * np.sqrt(np.sum(gaps**2)))
-
-
-@dataclass
-class SaxEncoder:
-    """Reusable SAX encoder with fixed parameters.
-
-    Convenience wrapper bundling the alphabet size and optional PAA segment
-    count so streaming operators can symbolise many windows with one object.
-    """
-
-    alphabet: int = 8
-    segments: int | None = None
-    normalize: bool = True
-
-    def __post_init__(self) -> None:
-        if self.alphabet < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {self.alphabet}")
-        if self.segments is not None and self.segments < 1:
-            raise ValueError(f"segments must be >= 1, got {self.segments}")
-
-    def encode(self, values: np.ndarray) -> np.ndarray:
-        """Symbolise ``values`` with this encoder's parameters."""
-        return sax_transform(
-            values,
-            segments=self.segments,
-            alphabet=self.alphabet,
-            normalize=self.normalize,
-        )
-
-    def encode_to_string(self, values: np.ndarray) -> str:
-        """Symbolise and render as a letter string (``a`` = lowest band)."""
-        symbols = self.encode(values)
-        if self.alphabet > 26:
-            raise ValueError("letter rendering supports alphabets up to 26 symbols")
-        return "".join(chr(ord("a") + int(s)) for s in symbols)

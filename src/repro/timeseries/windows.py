@@ -1,4 +1,4 @@
-"""Sliding windows, moving averages and streaming statistics.
+"""Moving averages and streaming statistics.
 
 The extraction pipeline smooths the SAX anomaly score with a moving average
 (paper: window of 2250 samples) and the adaptive trigger maintains running
@@ -13,31 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "sliding_windows",
-    "moving_average",
-    "RunningStats",
-]
-
-
-def sliding_windows(values: np.ndarray, width: int, step: int = 1) -> np.ndarray:
-    """Return a 2-D array of overlapping windows of ``values``.
-
-    Windows that would run past the end of the sequence are not emitted, so
-    the result has ``max(0, (n - width) // step + 1)`` rows.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"sliding_windows expects a 1-D sequence, got shape {arr.shape}")
-    if width < 1:
-        raise ValueError(f"width must be >= 1, got {width}")
-    if step < 1:
-        raise ValueError(f"step must be >= 1, got {step}")
-    if arr.size < width:
-        return np.empty((0, width), dtype=float)
-    count = (arr.size - width) // step + 1
-    starts = np.arange(count) * step
-    return np.stack([arr[s : s + width] for s in starts])
+__all__ = ["moving_average", "RunningStats"]
 
 
 def moving_average(values: np.ndarray, width: int) -> np.ndarray:

@@ -1,11 +1,11 @@
-"""Tests for the related-work baselines (energy segmentation and k-NN)."""
+"""Tests for the related-work baseline (energy segmentation)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.baselines import EnergySegmenter, KnnClassifier
+from repro.baselines import EnergySegmenter
 
 
 class TestEnergySegmenter:
@@ -32,35 +32,3 @@ class TestEnergySegmenter:
             EnergySegmenter(window=0)
         with pytest.raises(ValueError):
             EnergySegmenter(threshold_ratio=0)
-
-
-class TestKnnClassifier:
-    def test_exact_match_prediction(self, rng):
-        knn = KnnClassifier(k=1)
-        points = rng.normal(size=(20, 3))
-        labels = [f"c{i % 4}" for i in range(20)]
-        knn.fit(points, labels)
-        for point, label in zip(points, labels):
-            assert knn.predict(point) == label
-
-    def test_k3_majority(self):
-        knn = KnnClassifier(k=3)
-        knn.partial_fit(np.array([0.0]), "a")
-        knn.partial_fit(np.array([0.1]), "a")
-        knn.partial_fit(np.array([0.2]), "b")
-        knn.partial_fit(np.array([10.0]), "b")
-        assert knn.predict(np.array([0.05])) == "a"
-
-    def test_untrained_rejects_queries(self):
-        with pytest.raises(ValueError):
-            KnnClassifier().predict(np.zeros(2))
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            KnnClassifier(k=0)
-
-    def test_reset(self, rng):
-        knn = KnnClassifier()
-        knn.partial_fit(rng.normal(size=3), "a")
-        knn.reset()
-        assert knn.pattern_count == 0

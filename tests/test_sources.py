@@ -29,7 +29,6 @@ from repro.pipeline import (
     SocketChunkSource,
     WavChunkStream,
     WavDirectorySource,
-    rechunk,
 )
 from repro.synth import ClipBuilder
 
@@ -146,52 +145,6 @@ class TestTruncatedWav:
         path = self.truncated(tmp_path, 1)
         with pytest.raises(ValueError, match="truncated \\(1 bytes missing\\)"):
             AcousticPipeline().extract(FAST_EXTRACTION).build().run(str(path))
-
-
-class TestRechunk:
-    def test_rechunk_preserves_content_and_sizes(self):
-        rng = np.random.default_rng(4)
-        parts = [rng.standard_normal(n) for n in (3, 700, 1, 64, 999)]
-        out = list(rechunk(parts, 256))
-        assert all(chunk.size == 256 for chunk in out[:-1])
-        np.testing.assert_array_equal(
-            np.concatenate(out), np.concatenate(parts)
-        )
-
-    def test_rechunk_rejects_bad_size(self):
-        with pytest.raises(ValueError, match="size"):
-            list(rechunk([np.zeros(4)], 0))
-
-    def test_rechunk_output_owns_its_memory(self):
-        """Chunks cut from the internal concatenation buffer must be copies.
-
-        A yielded view would pin the whole concatenated buffer for as long
-        as the consumer keeps the chunk, and a carried view would keep the
-        previous buffer alive between iterations — silently voiding the
-        documented ``size - 1`` bound on carried samples.
-        """
-        rng = np.random.default_rng(7)
-        parts = [rng.standard_normal(300) for _ in range(3)]
-        out = list(rechunk(iter(parts), 256))
-        assert [chunk.size for chunk in out] == [256, 256, 256, 132]
-        # Every chunk after the first is sliced from a carry+chunk
-        # concatenation; owning its data means nothing larger is pinned.
-        for chunk in out[1:]:
-            assert chunk.base is None
-        for i, a in enumerate(out):
-            for b in out[i + 1 :]:
-                assert not np.shares_memory(a, b)
-
-    def test_rechunk_carry_does_not_alias_caller_chunks(self):
-        rng = np.random.default_rng(8)
-        parts = [rng.standard_normal(100), rng.standard_normal(9)]
-        out = list(rechunk(iter(parts), 64))
-        # The 45-sample tail spans the caller's chunk boundary and was
-        # carried across an iteration; it must not share memory with either
-        # input chunk.
-        assert out[-1].size == 45
-        for part in parts:
-            assert not np.shares_memory(out[-1], part)
 
 
 class _LoopbackServer:

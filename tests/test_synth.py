@@ -15,7 +15,6 @@ from repro.synth import (
     amplitude_envelope,
     build_corpus,
     buzz,
-    chirp,
     coo,
     drum,
     get_species,

@@ -6,27 +6,20 @@ import numpy as np
 import pytest
 from repro.timeseries import (
     RunningStats,
-    SaxEncoder,
     bitmap_distance,
     brute_force_discord,
-    distances_to_point,
     euclidean,
     find_discord,
     find_motifs,
     gaussian_breakpoints,
-    inverse_paa,
     manhattan,
     moving_average,
     normalized_euclidean,
     paa,
     paa_by_factor,
     paa_matrix,
-    pairwise_euclidean,
     sax_bitmap,
-    sax_distance,
     sax_transform,
-    sliding_windows,
-    squared_euclidean,
     symbolize,
     znormalize,
 )
@@ -96,12 +89,6 @@ class TestPaa:
         assert paa_by_factor(np.arange(105.0), 10).size == 11
         assert paa_by_factor(np.arange(3.0), 10).size == 1
 
-    def test_inverse_paa_roundtrip_for_blocky_signal(self):
-        original = np.repeat([1.0, -2.0, 3.0], 4)
-        reduced = paa(original, 3)
-        expanded = inverse_paa(reduced, original.size)
-        np.testing.assert_allclose(expanded, original)
-
     def test_paa_matrix_reduces_columns(self, rng):
         matrix = rng.normal(size=(20, 5))
         reduced = paa_matrix(matrix, 4, axis=0)
@@ -156,26 +143,6 @@ class TestSax:
         word = sax_transform(rng.normal(size=128), segments=16, alphabet=5)
         assert word.size == 16
 
-    def test_sax_distance_zero_for_identical_words(self):
-        word = np.array([0, 1, 2, 3])
-        assert sax_distance(word, word, alphabet=4, original_length=64) == 0.0
-
-    def test_sax_distance_zero_for_adjacent_symbols(self):
-        a = np.array([1, 2, 2])
-        b = np.array([2, 1, 3])
-        assert sax_distance(a, b, alphabet=4, original_length=60) == 0.0
-
-    def test_sax_distance_positive_for_distant_symbols(self):
-        a = np.array([0, 0, 0])
-        b = np.array([3, 3, 3])
-        assert sax_distance(a, b, alphabet=4, original_length=60) > 0.0
-
-    def test_encoder_string_rendering(self, rng):
-        encoder = SaxEncoder(alphabet=4, segments=8)
-        text = encoder.encode_to_string(rng.normal(size=64))
-        assert len(text) == 8
-        assert set(text) <= set("abcd")
-
     def test_alphabet_too_small_rejected(self):
         with pytest.raises(ValueError):
             gaussian_breakpoints(1)
@@ -227,10 +194,6 @@ class TestDistances:
     def test_euclidean_known_value(self):
         assert euclidean([0, 0], [3, 4]) == pytest.approx(5.0)
 
-    def test_squared_euclidean_consistency(self, rng):
-        a, b = rng.normal(size=10), rng.normal(size=10)
-        assert squared_euclidean(a, b) == pytest.approx(euclidean(a, b) ** 2)
-
     def test_manhattan_known_value(self):
         assert manhattan([1, 2, 3], [2, 0, 3]) == pytest.approx(3.0)
 
@@ -245,18 +208,6 @@ class TestDistances:
         with pytest.raises(ValueError):
             euclidean([1, 2], [1, 2, 3])
 
-    def test_distances_to_point_matches_loop(self, rng):
-        points = rng.normal(size=(20, 4))
-        query = rng.normal(size=4)
-        expected = [euclidean(row, query) for row in points]
-        np.testing.assert_allclose(distances_to_point(points, query), expected)
-
-    def test_pairwise_euclidean_symmetry_and_zero_diagonal(self, rng):
-        points = rng.normal(size=(15, 3))
-        matrix = pairwise_euclidean(points)
-        np.testing.assert_allclose(matrix, matrix.T, atol=1e-9)
-        np.testing.assert_allclose(np.diag(matrix), 0.0, atol=1e-9)
-
 
 # ---------------------------------------------------------------------------
 # Windows / streaming statistics
@@ -264,14 +215,6 @@ class TestDistances:
 
 
 class TestWindows:
-    def test_sliding_windows_shape_and_content(self):
-        windows = sliding_windows(np.arange(10.0), width=4, step=2)
-        assert windows.shape == (4, 4)
-        np.testing.assert_allclose(windows[1], [2, 3, 4, 5])
-
-    def test_sliding_windows_too_short(self):
-        assert sliding_windows(np.arange(3.0), width=5).shape == (0, 5)
-
     def test_moving_average_constant_signal(self):
         np.testing.assert_allclose(moving_average(np.full(20, 2.5), 5), 2.5)
 
